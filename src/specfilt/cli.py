@@ -310,38 +310,34 @@ def cmd_sweep(cfg: RunConfig, command: str) -> int:
     etas = _eta_grid(cfg)
     cfg.finish()
 
-    failures = 0
-
-    def guarded(fn, *a):
-        nonlocal failures
-        try:
-            return fn(*a)
-        except (QuadratureError, CalibrationError):
-            failures += 1
-            return float("nan")
-
     meta: list[str] = [f"x_o={x0!r}"]
     columns: list[str] = ["eta"]
-    rows: list[list[float]] = []
+    lines = [LorentzianLine(e * x0) for e in etas]
+    refs = np.array([mse_bw_analytic(e, x0) for e in etas])
+    failures = 0
+
+    def ratios(spec: FilterSpec) -> list[float]:
+        nonlocal failures
+        mse = mse_numeric(lines, spec)
+        failures += int(np.count_nonzero(np.isnan(mse)))
+        return (mse / refs).tolist()
+
     if kind == "ra-bw":
         ra = calibrate("ra", x0).spec
         bw = calibrate("bw", x0).spec
         meta += [f"spec_ra: {_spec_line(ra)}", f"spec_bw: {_spec_line(bw)}"]
         columns += ["mse_ra", "mse_bw", "ratio_closed", "ratio_published"]
-        for e in etas:
+        rows = []
+        for e, mbw in zip(etas, refs):
             mra = mse_ra_analytic(e, x0)
-            mbw = mse_bw_analytic(e, x0)
-            rows.append([e, mra, mbw, mra / mbw, guarded(mse_ratio_ra_bw, e)])
+            rows.append([e, mra, mbw, mra / mbw, mse_ratio_ra_bw(e)])
     elif kind == "gh":
         ms = _parse_list(cfg.get("m_list", "1,2,5,10,20,50,100"), int, "--m-list", cfg)
         cfg.finish()
         specs = {m: calibrate("gh", x0, m=m).spec for m in ms}
         meta += [f"spec_gh_m{m}: {_spec_line(s)}" for m, s in specs.items()]
         columns += [f"ratio_m{m}" for m in ms]
-        for e in etas:
-            line = LorentzianLine(e * x0)
-            ref = mse_bw_analytic(e, x0)
-            rows.append([e] + [guarded(mse_numeric, line, specs[m]) / ref for m in ms])
+        rows = [list(r) for r in zip(etas, *(ratios(s) for s in specs.values()))]
     elif kind == "ct":
         a = cfg.get("a", 5.0)
         dks = _parse_list(cfg.get("dk_list", "0.2,0.5,1.0"), float, "--dk-list", cfg)
@@ -350,10 +346,7 @@ def cmd_sweep(cfg: RunConfig, command: str) -> int:
         specs = {dk: calibrate("ct", x0, a=a, dk=dk).spec for dk in dks}
         meta += [f"spec_ct_dk{dk}: {_spec_line(s)}" for dk, s in specs.items()]
         columns += [f"ratio_dk{dk}" for dk in dks]
-        for e in etas:
-            line = LorentzianLine(e * x0)
-            ref = mse_bw_analytic(e, x0)
-            rows.append([e] + [guarded(mse_numeric, line, specs[dk]) / ref for dk in dks])
+        rows = [list(r) for r in zip(etas, *(ratios(s) for s in specs.values()))]
     else:  # compare
         m = cfg.get("m", 100)
         a = cfg.get("a", 5.0)
@@ -362,12 +355,8 @@ def cmd_sweep(cfg: RunConfig, command: str) -> int:
         ct = calibrate("ct", x0, a=a, dk=dk).spec
         meta += [f"spec_gh: {_spec_line(gh)}", f"spec_ct: {_spec_line(ct)}"]
         columns += ["ratio_ra", f"ratio_gh_m{m}", "ratio_ct"]
-        for e in etas:
-            line = LorentzianLine(e * x0)
-            ref = mse_bw_analytic(e, x0)
-            rows.append([e, mse_ra_analytic(e, x0) / ref,
-                         guarded(mse_numeric, line, gh) / ref,
-                         guarded(mse_numeric, line, ct) / ref])
+        ra = [mse_ra_analytic(e, x0) / ref for e, ref in zip(etas, refs)]
+        rows = [list(r) for r in zip(etas, ra, ratios(gh), ratios(ct))]
     writer = TableWriter(cfg, command, meta)
     writer.write(columns, rows)
     if failures:

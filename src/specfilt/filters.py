@@ -14,11 +14,12 @@ from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 from scipy.special import gammaincc, gammainccinv, gammaln
+
+from ._gauss import gauss_legendre
 
 __all__ = [
     "SINC_HALF_CROSSING",
@@ -236,7 +237,7 @@ class _GhKernelTable:
         # panel count keeps >= ~10 nodes per oscillation of cos(k*x) at x_max
         x_max = float(xs[-1]) if len(xs) else 1.0
         panels = max(6, int(self.k_cut * x_max / (2.0 * np.pi) / 5.0) + 1)
-        nodes, wts = leggauss(64)
+        nodes, wts = gauss_legendre(64)
         edges = np.linspace(0.0, self.k_cut, panels + 1)
         out = np.zeros_like(xs)
         for lo, hi in zip(edges[:-1], edges[1:]):
@@ -329,7 +330,7 @@ def _gh_half_height_mismatch(m: int, x_o: float) -> Callable[[float], float]:
     npts = 2000
     t_lo = max(0.0, (m + 1) - 12.0 * np.sqrt(m + 1) - 12.0)
     t_hi = (m + 1) + 12.0 * np.sqrt(m + 1) + 24.0
-    u, w = leggauss(npts)
+    u, w = gauss_legendre(npts)
     t = 0.5 * (t_hi - t_lo) * u + 0.5 * (t_hi + t_lo)
     dens = np.exp(m * np.log(t) - t - gammaln(m + 1)) * (0.5 * (t_hi - t_lo) * w)
     root_t = np.sqrt(t)

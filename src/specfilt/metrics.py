@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 from scipy.integrate import IntegrationWarning, quad, simpson
 from scipy.optimize import brentq
 from scipy.special import sici
 
+from ._gauss import converged, exp_weighted, gauss_legendre
 from .filters import (
     SINC_HALF_CROSSING,
     BrickWall,
@@ -101,14 +102,54 @@ def _k_max_for(line: LorentzianLine, spec: FilterSpec) -> float:
     return max(18.5 / line.gamma, end + 12.5 / line.gamma)
 
 
-def mse_numeric(line: LorentzianLine, spec: FilterSpec) -> float:
-    """2*pi * integral |F|^2 (1-B)^2 dk by adaptive quadrature."""
+def _panel_width(spec: FilterSpec) -> float:
+    # Length over which (1-B)^2 changes: the fall from B = 1/2 to the support
+    # cutoff, capped at the half-transfer point, which is the scale itself
+    # where that fall is a step (bw) or there is no cutoff (ra).
+    k_half = half_transfer_point(spec)
+    end = support_cutoff(spec)
+    return min(k_half, end - k_half) if end is not None and end > k_half else k_half
 
-    def integrand(k: float) -> float:
-        return lorentzian_rs(line, k) ** 2 * (1.0 - transfer(spec, k)) ** 2
 
-    k_max = _k_max_for(line, spec)
-    return 4.0 * np.pi * _quad(integrand, 0.0, k_max, points=breakpoints(spec))
+def _stop_band_integrals(spec: FilterSpec, rates, ends, scale) -> np.ndarray:
+    """scale_j * integral_0^{end_j} exp(-rate_j k) (1-B)^2 dk; NaN where not converged."""
+    end = support_cutoff(spec)
+    values, errors = exp_weighted(lambda k: (1.0 - transfer(spec, k)) ** 2, rates, ends,
+                                  breakpoints(spec), _panel_width(spec),
+                                  np.inf if end is None else end)
+    values, errors = scale * values, scale * errors
+    return np.where(converged(values, errors), values, np.nan)
+
+
+def _mse_integrals(lines: Sequence[LorentzianLine], spec: FilterSpec,
+                   ends=None) -> np.ndarray:
+    # |F|^2 = (area/2pi)^2 exp(-2 gamma k); the tolerance applies to the
+    # integral of |F|^2 (1-B)^2 before the factor 4 pi of the even integrand.
+    if ends is None:
+        ends = [_k_max_for(line, spec) for line in lines]
+    rates = [2.0 * line.gamma for line in lines]
+    scale = np.array([(line.area / (2.0 * np.pi)) ** 2 for line in lines])
+    return 4.0 * np.pi * _stop_band_integrals(spec, rates, ends, scale)
+
+
+def mse_numeric(line: LorentzianLine | Sequence[LorentzianLine],
+                spec: FilterSpec) -> float | np.ndarray:
+    """2*pi * integral |F|^2 (1-B)^2 dk by composite Gauss-Legendre quadrature.
+
+    Panels split at the breakpoints of the transfer and the rule's error
+    estimate (n against 2n nodes per panel) must meet epsrel 1e-10.  For one
+    LorentzianLine the result is a float and a missed estimate raises
+    QuadratureError.  For a sequence of lines the result is an array, one
+    entry per line, NaN wherever the estimate was missed; each entry equals
+    the single-line result.
+    """
+    if isinstance(line, LorentzianLine):
+        value = float(_mse_integrals([line], spec)[0])
+        if np.isnan(value):
+            raise QuadratureError(
+                f"stop-band quadrature for gamma={line.gamma:g} did not converge")
+        return value
+    return _mse_integrals(list(line), spec)
 
 
 def _x_o_of(spec: FilterSpec) -> float | None:
@@ -141,17 +182,12 @@ def mse_with_noise(line: LorentzianLine, spec: FilterSpec, noise_density: float,
         k_max = max(3.0 * end, _k_max_for(line, spec))
     if not np.isfinite(k_max) and noise_density > 0:
         raise ValueError("a finite k_max is required when noise_density > 0")
-    pts = breakpoints(spec)
-
-    def info_part(k: float) -> float:
-        return lorentzian_rs(line, k) ** 2 * (1.0 - transfer(spec, k)) ** 2
-
-    def noise_part(k: float) -> float:
-        return (1.0 - transfer(spec, k)) ** 2
-
-    info = 4.0 * np.pi * _quad(info_part, 0.0, min(k_max, _k_max_for(line, spec)),
-                               points=pts)
-    noise = 2.0 * noise_density * _quad(noise_part, 0.0, k_max, points=pts)
+    info = float(_mse_integrals([line], spec, [min(k_max, _k_max_for(line, spec))])[0])
+    noise = 0.0
+    if noise_density > 0:
+        noise = 2.0 * noise_density * float(_stop_band_integrals(spec, [0.0], [k_max], 1.0)[0])
+    if np.isnan(info) or np.isnan(noise):
+        raise QuadratureError(f"stop-band quadrature up to k_max={k_max:g} did not converge")
     x_o = _x_o_of(spec)
     eta = EtaRatio.from_line(line, x_o) if x_o else EtaRatio(line.gamma)
     ref = None
@@ -289,13 +325,17 @@ def noise_gain(spec: FilterSpec) -> NoiseReport:
         xs, bs = gh_kernel_samples(spec)
         ds = 2.0 * float(simpson(bs**2, x=xs))
     elif isinstance(spec, CosineTerminated):
-        k2 = k2_of(spec)
-        rs = _quad(lambda k: transfer(spec, k) ** 2, 0.0, k2,
-                   points=[spec.k_1]) / np.pi
-        split = 12.0 + 1.0 / spec.dk
-        head = _quad(lambda x: kernel(spec, x) ** 2, 0.0, split,
-                     points=[1.0 / spec.dk], epsabs=1e-13, epsrel=1e-11)
-        ds = 2.0 * (head + _ct_ds_tail(spec, split))
+        # Both routes run at unit spread: B(k) = B_1(k/dk) and
+        # b(x) = dk * b_1(dk * x), so each integral is dk times its unit-spread
+        # value.  The oscillatory tail then depends on k_1/dk and a alone,
+        # not on the physical scale, which made it miss at some scales.
+        unit = CosineTerminated(spec.k_1 / spec.dk, spec.a, 1.0)
+        rs = spec.dk * _quad(lambda k: transfer(unit, k) ** 2, 0.0, k2_of(unit),
+                             points=[unit.k_1]) / np.pi
+        split = 12.0 + 1.0 / unit.dk
+        head = _quad(lambda x: kernel(unit, x) ** 2, 0.0, split,
+                     points=[1.0 / unit.dk], epsabs=1e-13, epsrel=1e-11)
+        ds = spec.dk * 2.0 * (head + _ct_ds_tail(unit, split))
     else:
         raise TypeError(f"unknown filter spec {spec!r}")
     if abs(ds - rs) > 1e-9 * abs(ds):
@@ -402,7 +442,7 @@ def gibbs_residual(line: LorentzianLine, spec: FilterSpec,
         np.linspace(0.0, s_end, max(5, int(s_end * x_ref / 30.0) + 1)),
         [b for b in breakpoints(spec) if 0.0 < b < s_end],
     ]))
-    nodes, wts = leggauss(64)
+    nodes, wts = gauss_legendre(64)
     head = np.zeros_like(shift)
     for lo, hi in zip(edges[:-1], edges[1:]):
         kk = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)

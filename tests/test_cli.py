@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from specfilt import metrics
 from specfilt.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_VALIDATION, main
 from specfilt.engine import write_spectrum
 from specfilt.filters import BrickWall, parse_spec
@@ -87,6 +88,20 @@ class TestSweepCommand:
         _, body = _rows(capsys.readouterr().out)
         assert len(body) == 5
         assert float(body[0][0]) == 0.2 and float(body[-1][0]) == 1.0
+
+    def test_failed_points_are_nan_and_counted(self, monkeypatch, capsys):
+        """A NaN transfer past k = 6 fails the etas whose range reaches it
+        (eta < 3.8 for gh m=100 at x0 = 1); the rest keep their values."""
+        real = metrics.transfer
+        monkeypatch.setattr(metrics, "transfer", lambda spec, k: np.where(
+            np.asarray(k) > 6.0, np.nan, real(spec, k)))
+        assert main(["sweep", "--kind", "gh", "--m-list", "100", "--eta-min", "1",
+                     "--eta-max", "5", "--eta-points", "5", "--no-timestamp"]) == EXIT_OK
+        captured = capsys.readouterr()
+        _, body = _rows(captured.out)
+        cells = [float(row[1]) for row in body]
+        assert np.isnan(cells[:3]).all() and np.isfinite(cells[3:]).all()
+        assert "warning: 3 sweep point(s) failed and were marked NaN" in captured.err
 
 
 class TestNoiseCommand:

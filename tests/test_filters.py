@@ -11,9 +11,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
+from specfilt._gauss import gauss_legendre
 from specfilt.filters import (
     SINC_HALF_CROSSING,
     BrickWall,
@@ -68,6 +70,16 @@ class TestCalibration:
             0.18833080789450612, rel=1e-10)
         assert calibrate("gh", 1.0, m=1).spec.k_s == pytest.approx(
             1.2507182372452492, rel=1e-10)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 64, 129, 2000])
+    def test_node_rule_is_numpys(self, n):
+        """The cached rule (tridiagonal eigensolver) equals leggauss bit for bit,
+        so GH calibration, whose 2000-point rule sets k_s to the last digit,
+        prints the values it printed with the dense eigensolver."""
+        nodes, weights = gauss_legendre(n)
+        ref_nodes, ref_weights = leggauss(n)
+        assert np.array_equal(nodes, ref_nodes)
+        assert np.array_equal(weights, ref_weights)
 
     def test_ct_onset(self):
         spec = calibrate("ct", 1.0, a=5.0, dk=0.5).spec

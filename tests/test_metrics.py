@@ -8,11 +8,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
+from scipy.special import gammaincc
 
+from specfilt import metrics
 from specfilt.engine import dft_forward
 from specfilt.filters import (
     BrickWall,
     CosineTerminated,
+    GaussHermite,
+    RunningAverage,
     calibrate,
     half_transfer_point,
     transfer,
@@ -26,6 +31,7 @@ from specfilt.lineshapes import (
     pseudo_lorentzian_discrete,
 )
 from specfilt.metrics import (
+    QuadratureError,
     crossover_eta,
     estimate_period,
     gibbs_residual,
@@ -87,6 +93,97 @@ class TestMseClosedForms:
     def test_mse_positive(self, eta):
         assert mse_bw_analytic(eta) > 0
         assert mse_ra_analytic(eta) > 0
+
+
+def _reference_transfer(spec, k):
+    """The transfer of each family written out here, apart from the library."""
+    if isinstance(spec, RunningAverage):
+        return np.sinc(k * spec.x_o / np.pi)
+    if isinstance(spec, BrickWall):
+        return 1.0 if k <= spec.k_o else 0.0
+    if isinstance(spec, GaussHermite):
+        return gammaincc(spec.m + 1, (k / spec.k_s) ** 2)
+    k2 = spec.k_1 + spec.dk * np.arccos(1.0 - 1.0 / spec.a)
+    if k <= spec.k_1:
+        return 1.0
+    return spec.a * np.cos((k - spec.k_1) / spec.dk) - spec.a + 1.0 if k < k2 else 0.0
+
+
+def _reference_mse(gamma, spec, cuts):
+    """2*pi * integral_{-inf}^{inf} |F|^2 (1-B)^2 dk by adaptive quadrature.
+
+    Pieces end at the given cuts, then every 5/gamma up to where exp(-2 gamma k)
+    has fallen by e^-80, so each piece is well within quad's reach.
+    """
+    def f(k):
+        return np.exp(-2.0 * gamma * k) * (1.0 - _reference_transfer(spec, k)) ** 2
+
+    top = max([0.0, *cuts]) + 40.0 / gamma
+    edges = np.unique(np.concatenate([[0.0], cuts, np.arange(0.0, top, 5.0 / gamma), [top]]))
+    total = sum(quad(f, lo, hi, epsabs=1e-30, epsrel=1e-13, limit=400)[0]
+                for lo, hi in zip(edges[:-1], edges[1:]))
+    return 4.0 * np.pi * total / (2.0 * np.pi) ** 2
+
+
+class TestMseQuadratureCore:
+    """The batched Gauss-Legendre MSE against references built in this file."""
+
+    etas = (0.1, 0.3, 1.0, 2.0, 3.5, 5.0)
+
+    def _cases(self, x0=1.0):
+        yield calibrate("ra", x0).spec, (np.pi / x0 * j for j in range(1, 40))
+        bw = calibrate("bw", x0).spec
+        yield bw, (bw.k_o,)
+        for m in (1, 20, 100):
+            yield calibrate("gh", x0, m=m).spec, ()
+        for dk in (0.12, 1.0):
+            ct = calibrate("ct", x0, a=5.0, dk=dk / x0).spec
+            yield ct, (ct.k_1, ct.k_1 + ct.dk * np.arccos(1.0 - 1.0 / ct.a))
+
+    def test_matches_independent_quadrature(self):
+        for spec, cuts in self._cases():
+            cuts = list(cuts)
+            got = mse_numeric([LorentzianLine(eta) for eta in self.etas], spec)
+            for eta, value in zip(self.etas, got):
+                ref = _reference_mse(eta, spec, cuts)
+                assert value == pytest.approx(ref, rel=1e-9), (spec, eta)
+
+    def test_dimensionless_ratios_independent_of_scale(self):
+        ratios = {}
+        for x0 in (1e-2, 1.0, 1e2):
+            ratios[x0] = [
+                mse_numeric([LorentzianLine(eta * x0) for eta in self.etas], spec)
+                / np.array([mse_bw_analytic(eta, x0) for eta in self.etas])
+                for spec, _ in self._cases(x0)
+            ]
+        for x0 in (1e-2, 1e2):
+            for got, unit in zip(ratios[x0], ratios[1.0]):
+                np.testing.assert_allclose(got, unit, rtol=1e-10, atol=0.0)
+
+    def test_array_form_equals_scalar_calls(self):
+        lines = [LorentzianLine(eta) for eta in np.linspace(0.05, 5.0, 23)]
+        lines.append(LorentzianLine(0.7, area=3.0))
+        for spec, _ in self._cases():
+            got = mse_numeric(lines, spec)
+            assert isinstance(got, np.ndarray) and got.shape == (len(lines),)
+            assert got.tolist() == [mse_numeric(line, spec) for line in lines]
+
+    def test_panel_budget_fails_fast(self):
+        """A range of ten million half-widths raises instead of allocating."""
+        with pytest.raises(QuadratureError):
+            mse_numeric(LorentzianLine(1e-6), calibrate("ra", 1.0).spec)
+
+    def test_nan_integrand_is_a_failure(self, monkeypatch):
+        """A NaN transfer inside the range raises; an estimate never hides it."""
+        real = metrics.transfer
+        monkeypatch.setattr(metrics, "transfer", lambda spec, k: np.where(
+            np.asarray(k) > 6.0, np.nan, real(spec, k)))
+        gh = calibrate("gh", 1.0, m=100).spec
+        with pytest.raises(QuadratureError):
+            mse_numeric(LorentzianLine(1.0), gh)
+        got = mse_numeric([LorentzianLine(1.0), LorentzianLine(5.0)], gh)
+        assert np.isnan(got[0])
+        assert got[1] == mse_numeric(LorentzianLine(5.0), gh)
 
 
 class TestMseWithNoise:
@@ -154,6 +251,15 @@ class TestNoiseGain:
         for spec in specs:
             rep = noise_gain(spec)
             assert rep.ds_value == pytest.approx(rep.rs_value, rel=1e-9)
+
+    def test_ct_scale_covariant(self):
+        """Both ct routes run at unit spread, so no scale falls in a gap of the
+        oscillatory tail: x0 = 18.7915506... once failed the Parseval check."""
+        unit = noise_gain(calibrate("ct", 1.0, a=5.0, dk=0.5).spec)
+        x0 = 18.791550682890122
+        rep = noise_gain(calibrate("ct", x0, a=5.0, dk=0.5 / x0).spec)
+        assert rep.ds_value * x0 == pytest.approx(unit.ds_value, rel=1e-10)
+        assert rep.rs_value * x0 == pytest.approx(unit.rs_value, rel=1e-10)
 
     def test_bw_to_ra_ratio(self):
         ra = noise_gain(calibrate("ra", 1.0).spec).rms_gain
