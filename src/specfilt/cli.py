@@ -21,8 +21,8 @@ import numpy as np
 
 from . import __version__
 from .engine import (
+    SampleGrid,
     apply_filter_ds,
-    apply_filter_rs,
     dft_forward,
     noise_transmission_empirical,
     read_spectrum,
@@ -371,12 +371,15 @@ def cmd_noise(cfg: RunConfig, command: str) -> int:
     a = cfg.get("a", 5.0)
     dk = cfg.get("dk", 0.5)
     trials = cfg.get("trials", 0)
+    grid_n = cfg.get("grid_n", 256)
     cfg.check(x0 > 0, f"--x0 must be positive, got {x0}")
     cfg.check(m >= 1, f"--m must be an integer >= 1, got {m}")
     cfg.check(a >= 0.5, f"--a must be >= 1/2, got {a}")
     cfg.check(dk > 0, f"--dk must be positive, got {dk}")
     cfg.check(trials == 0 or trials >= 100,
               f"--trials must be 0 (analytic only) or >= 100, got {trials}")
+    if trials > 0:
+        cfg.check(grid_n >= 1, f"--grid-n must be an integer >= 1, got {grid_n}")
     cfg.finish()
     named = [
         ("ra", calibrate("ra", x0).spec),
@@ -386,21 +389,18 @@ def cmd_noise(cfg: RunConfig, command: str) -> int:
     ]
     meta = [f"x_o={x0!r}"] + [f"spec_{n}: {_spec_line(s)}" for n, s in named]
     columns = ["filter", "rms_gain", "ds_value", "rs_value"]
-    if trials:
-        columns += ["mc_gain", "mc_predicted", "mc_std_error"]
-        from .engine import SampleGrid
-
-        grid = SampleGrid(cfg.get("grid_n", 256))
-        noise = NoiseModel(1.0, cfg.get("seed", 0))
-        meta.append(f"monte_carlo: trials={trials} grid_n={grid.n} seed={cfg.get('seed', 0)}")
     rows = []
     for name, spec in named:
         rep = noise_gain(spec)
-        row: list = [name, rep.rms_gain, rep.ds_value, rep.rs_value]
-        if trials:
-            mc = noise_transmission_empirical(spec, noise, trials, grid)
+        rows.append([name, rep.rms_gain, rep.ds_value, rep.rs_value])
+    if trials:
+        columns += ["mc_gain", "mc_predicted", "mc_std_error"]
+        seed = cfg.get("seed", 0)
+        meta.append(f"monte_carlo: trials={trials} grid_n={grid_n} seed={seed}")
+        mcs = noise_transmission_empirical([s for _, s in named], NoiseModel(1.0, seed),
+                                           trials, SampleGrid(grid_n))
+        for row, mc in zip(rows, mcs):
             row += [mc.measured, mc.predicted, mc.std_error]
-        rows.append(row)
     TableWriter(cfg, command, meta).write(columns, rows)
     return EXIT_OK
 
@@ -420,9 +420,10 @@ def cmd_apply(cfg: RunConfig, command: str) -> int:
     cfg.finish()
     m_total = spectrum.grid.size
     k_scale = 2.0 * np.pi / (m_total * dx)
-    if path == "rs":
-        filtered = apply_filter_rs(spectrum, spec, k_scale=k_scale)
-    else:
+    # the report always comes from the RS route; on --path rs its output is
+    # the filtered spectrum too
+    filtered, gibbs = reconstruct_with_report(spectrum, spec, k_scale=k_scale)
+    if path == "ds":
         filtered = apply_filter_ds(spectrum, spec, dx=dx)
     x = x_start + dx * np.arange(m_total)
     out = cfg.get("out", src + ".filtered")
@@ -439,7 +440,6 @@ def cmd_apply(cfg: RunConfig, command: str) -> int:
     grid_gain = float(np.sqrt(np.sum(sampled_kernel(spec, spectrum.grid, dx=dx) ** 2)))
     coeffs = dft_forward(spectrum)
     cutoff = noise_cutoff(coeffs) if spectrum.grid.size >= 129 else None
-    _, gibbs = reconstruct_with_report(spectrum, spec, k_scale=k_scale)
     period_x = gibbs.period_estimate * m_total * dx / (2.0 * np.pi)
     report_lines = [
         f"# specfilt {__version__} apply report",

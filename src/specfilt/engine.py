@@ -11,7 +11,7 @@ truncation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence, get_args
 
 import numpy as np
 
@@ -167,6 +167,11 @@ def apply_filter_ds(s: Spectrum, spec: FilterSpec, dx: float | None = None,
     return Spectrum(s.grid, out)
 
 
+# Monte Carlo trials drawn and transformed together; FFT rows are computed
+# independently, so no result depends on the block size.
+_MC_BLOCK = 128
+
+
 @dataclass(frozen=True)
 class TransmissionResult:
     measured: float     # ensemble rms gain over the trials
@@ -175,33 +180,44 @@ class TransmissionResult:
     trials: int
 
 
-def noise_transmission_empirical(spec: FilterSpec, noise: "NoiseModel",
-                                 trials: int, grid: SampleGrid,
-                                 dx: float | None = None) -> TransmissionResult:
+def noise_transmission_empirical(spec: FilterSpec | Sequence[FilterSpec],
+                                 noise: "NoiseModel", trials: int, grid: SampleGrid,
+                                 dx: float | None = None
+                                 ) -> TransmissionResult | list[TransmissionResult]:
     """Monte Carlo rms gain of filtered white noise against the weight-sum law.
 
     Each trial filters an independent noise vector drawn from (seed, trial)
-    so results do not depend on evaluation order or thread count.
+    so results do not depend on evaluation order or thread count.  For one
+    spec the result is a TransmissionResult; for a sequence of specs it is a
+    list, one entry per spec, each equal to the single-spec result.  The
+    draws of each trial are made and transformed once and shared by every
+    spec.
     """
     if trials < 100:
         raise ValueError(f"need at least 100 trials, got {trials}")
     if not noise.sigma > 0:
         raise ValueError("noise model must have sigma > 0")
-    w = sampled_kernel(spec, grid, dx=dx)
-    predicted = float(np.sqrt(np.sum(w**2)))
+    single = isinstance(spec, get_args(FilterSpec))
+    specs = [spec] if single else list(spec)
+    weights = [sampled_kernel(s, grid, dx=dx) for s in specs]
     m = grid.size
-    resp = np.fft.rfft(np.fft.ifftshift(w))
-    gains2 = np.empty(trials)
-    block = 256
-    for start in range(0, trials, block):
-        stop = min(start + block, trials)
-        eps = np.stack([noise.sequence(t, m) for t in range(start, stop)])
-        filt = np.fft.irfft(np.fft.rfft(eps, axis=1) * resp, n=m, axis=1)
-        gains2[start:stop] = np.mean(filt**2, axis=1) / noise.sigma**2
-    measured = float(np.sqrt(np.mean(gains2)))
-    # delta method: se(sqrt(g2)) = se(g2) / (2 sqrt(g2))
-    se = float(np.std(gains2, ddof=1) / np.sqrt(trials) / (2.0 * measured))
-    return TransmissionResult(measured, predicted, se, trials)
+    resps = [np.fft.rfft(np.fft.ifftshift(w)) for w in weights]
+    gains2 = np.empty((len(specs), trials))
+    for start in range(0, trials, _MC_BLOCK):
+        stop = min(start + _MC_BLOCK, trials)
+        eps_k = np.fft.rfft(np.stack([noise.sequence(t, m) for t in range(start, stop)]),
+                            axis=1)
+        for g2, resp in zip(gains2, resps):
+            filt = np.fft.irfft(eps_k * resp, n=m, axis=1)
+            g2[start:stop] = np.mean(filt**2, axis=1) / noise.sigma**2
+    results = []
+    for w, g2 in zip(weights, gains2):
+        measured = float(np.sqrt(np.mean(g2)))
+        # delta method: se(sqrt(g2)) = se(g2) / (2 sqrt(g2))
+        se = float(np.std(g2, ddof=1) / np.sqrt(trials) / (2.0 * measured))
+        predicted = float(np.sqrt(np.sum(w**2)))
+        results.append(TransmissionResult(measured, predicted, se, trials))
+    return results[0] if single else results
 
 
 def reconstruct_with_report(s: Spectrum, spec: FilterSpec,

@@ -120,6 +120,31 @@ class TestNoiseCommand:
         for row in body:
             assert abs(float(row[-3]) - float(row[-2])) < 5 * float(row[-1])
 
+    def test_monte_carlo_columns_frozen(self, capsys):
+        # the Monte Carlo cells replay bit for bit for a given seed and grid
+        main(["noise", "--trials", "200", "--grid-n", "32", "--seed", "3",
+              "--no-timestamp"])
+        _, body = _rows(capsys.readouterr().out)
+        assert [row[-3:] for row in body] == [
+            ["0.21277771334932946", "0.21821789023599236", "0.005146639748503154"],
+            ["0.25592755380766363", "0.2591222699256251", "0.00756495480859659"],
+            ["0.25339856119933907", "0.2566466600699033", "0.007477490629271211"],
+            ["0.254257408653098", "0.25748831939408323", "0.0075066903882579595"],
+        ]
+
+    def test_grid_n_validated_with_the_rest(self, capsys, monkeypatch):
+        # every violation is listed, and nothing is calibrated before that
+        def no_calibration(*args, **kwargs):
+            raise AssertionError("calibrated before validation")
+
+        monkeypatch.setattr("specfilt.cli.calibrate", no_calibration)
+        rc = main(["noise", "--trials", "50", "--grid-n", "0"])
+        err = capsys.readouterr().err
+        assert rc == EXIT_VALIDATION
+        assert "--trials" in err and "--grid-n" in err
+        assert main(["noise", "--trials", "100", "--grid-n", "0"]) == EXIT_VALIDATION
+        assert "--grid-n must be an integer >= 1" in capsys.readouterr().err
+
 
 class TestApplyCommand:
     @pytest.fixture()

@@ -9,6 +9,7 @@ from specfilt.engine import (
     RsCoefficients,
     SampleGrid,
     Spectrum,
+    TransmissionResult,
     apply_filter_ds,
     apply_filter_rs,
     dft_forward,
@@ -175,6 +176,19 @@ class TestNoiseTransmission:
         a = noise_transmission_empirical(spec, NoiseModel(0.3, seed=7), **kw)
         b = noise_transmission_empirical(spec, NoiseModel(0.3, seed=7), **kw)
         assert a.measured == b.measured
+
+    def test_batch_equals_single_calls(self):
+        # 300 trials: two full blocks and a partial one
+        specs = [calibrate("ra", 1.0).spec, calibrate("bw", 1.0).spec,
+                 calibrate("gh", 1.0, m=20).spec, calibrate("ct", 1.0, a=5.0, dk=0.5).spec]
+        kw = dict(noise=NoiseModel(1.0, seed=11), trials=300, grid=SampleGrid(64))
+        batch = noise_transmission_empirical(specs, **kw)
+        assert isinstance(batch, list) and len(batch) == len(specs)
+        for spec, res in zip(specs, batch):
+            one = noise_transmission_empirical(spec, **kw)
+            assert isinstance(one, TransmissionResult)
+            assert (res.measured, res.predicted, res.std_error) == \
+                (one.measured, one.predicted, one.std_error)
 
     def test_trial_floor(self):
         with pytest.raises(ValueError):
