@@ -19,8 +19,8 @@ from scipy.linalg.lapack import dsterf
 
 __all__ = ["gauss_legendre", "exp_weighted", "converged"]
 
-# Convergence tolerances of the composite rule, the same as those of the
-# adaptive scalar quadrature elsewhere in the package.
+# Convergence tolerances of the composite rule, shared by mse_numeric and
+# every quadrature route of noise_gain.
 EPSABS = 1e-14
 EPSREL = 1e-10
 
@@ -28,8 +28,8 @@ EPSREL = 1e-10
 _N = 32
 # Largest fall of the exponent rate * k across one panel.
 _RATE_SPAN = 8.0
-# Doubles in one (batch x nodes) temporary, so a long batch over many panels
-# never materializes the whole product at once.
+# Doubles in one block of nodes or of (batch x nodes) products, so neither
+# many panels nor a long batch ever materializes all evaluations at once.
 _BLOCK = 1 << 18
 # Panels one level may use; past it the level fails instead of allocating.
 _MAX_PANELS = 1 << 16
@@ -97,14 +97,17 @@ def _composite(g, edges: np.ndarray, rates: np.ndarray,
     last = np.searchsorted(edges, ends, side="right") - 1  # last edge <= end
     sums = []
     for n in (_N, 2 * _N):
-        k, w = _nodes(edges[:-1], edges[1:], n)
-        gw = g(k) * w
-        whole = np.empty(rates.size)
-        rows = max(1, _BLOCK // max(1, k.size))
-        for s in range(0, rates.size, rows):
-            panels = np.sum(np.exp(-rates[s:s + rows, None, None] * k) * gw, axis=2)
-            prefix = np.cumsum(np.pad(panels, ((0, 0), (1, 0))), axis=1)
-            whole[s:s + rows] = np.take_along_axis(prefix, last[s:s + rows, None], axis=1)[:, 0]
+        panels = np.empty((rates.size, edges.size - 1))
+        step = _BLOCK // n  # panels per block
+        for p in range(0, edges.size - 1, step):
+            k, w = _nodes(edges[:-1][p:p + step], edges[1:][p:p + step], n)
+            gw = g(k) * w
+            rows = _BLOCK // k.size
+            for s in range(0, rates.size, rows):
+                panels[s:s + rows, p:p + step] = np.sum(
+                    np.exp(-rates[s:s + rows, None, None] * k) * gw, axis=2)
+        prefix = np.cumsum(np.pad(panels, ((0, 0), (1, 0))), axis=1)
+        whole = np.take_along_axis(prefix, last[:, None], axis=1)[:, 0]
         kp, wp = _nodes(edges[last], ends, n)
         sums.append(whole + np.sum(np.exp(-rates[:, None] * kp) * (g(kp) * wp), axis=1))
     return sums[1], np.abs(sums[1] - sums[0])

@@ -146,32 +146,39 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _header(cfg: RunConfig, command: str, meta: Iterable[str] = ()) -> list[str]:
+    """Header lines of every output file, without their '#' prefix."""
+    lines = [f"specfilt {__version__}", f"command: {command}"]
+    if not cfg.get("no_timestamp", False):
+        lines.append(f"generated: {datetime.datetime.now(datetime.timezone.utc).isoformat()}")
+    return lines + list(meta)
+
+
+def _write_text(path: str | None, text: str) -> None:
+    """Write text to path, or to stdout when no path is given."""
+    if not path:
+        sys.stdout.write(text)
+        return
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise IoFailure(f"cannot write {path}: {exc}") from None
+
+
 class TableWriter:
     """Columnar text output with self-describing '#' header comments."""
 
     def __init__(self, cfg: RunConfig, command: str, meta: Iterable[str] = ()):
         self.sep = "," if cfg.get("format", "csv") == "csv" else "\t"
         self.out = cfg.get("out")
-        self.lines = [f"# specfilt {__version__}", f"# command: {command}"]
-        if not cfg.get("no_timestamp", False):
-            stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
-            self.lines.append(f"# generated: {stamp}")
-        for m in meta:
-            self.lines.append(f"# {m}")
+        self.lines = [f"# {line}" for line in _header(cfg, command, meta)]
 
     def write(self, columns: Sequence[str], rows: Iterable[Sequence]) -> None:
         self.lines.append(self.sep.join(columns))
         for row in rows:
             self.lines.append(self.sep.join(_fmt(v) for v in row))
-        text = "\n".join(self.lines) + "\n"
-        if self.out:
-            try:
-                with open(self.out, "w") as fh:
-                    fh.write(text)
-            except OSError as exc:
-                raise IoFailure(f"cannot write {self.out}: {exc}") from None
-        else:
-            sys.stdout.write(text)
+        _write_text(self.out, "\n".join(self.lines) + "\n")
 
 
 def _spec_line(spec: FilterSpec, x_o: float | None = None) -> str:
@@ -248,22 +255,8 @@ def cmd_calibrate(cfg: RunConfig, command: str) -> int:
     if result is not None:
         meta.append(f"residual={result.residual!r}")
     meta.append(f"half_transfer_point={half_transfer_point(spec)!r}")
-    body = serialize_spec(spec, x_o=x0)
-    header = [f"# specfilt {__version__}", f"# command: {command}"]
-    if not cfg.get("no_timestamp", False):
-        stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
-        header.append(f"# generated: {stamp}")
-    header += [f"# {m}" for m in meta]
-    text = "\n".join(header) + "\n" + body
-    out = cfg.get("out")
-    if out:
-        try:
-            with open(out, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise IoFailure(f"cannot write {out}: {exc}") from None
-    else:
-        sys.stdout.write(text)
+    header = "".join(f"# {line}\n" for line in _header(cfg, command, meta))
+    _write_text(cfg.get("out"), header + serialize_spec(spec, x_o=x0))
     return EXIT_OK
 
 
@@ -427,10 +420,8 @@ def cmd_apply(cfg: RunConfig, command: str) -> int:
         filtered = apply_filter_ds(spectrum, spec, dx=dx)
     x = x_start + dx * np.arange(m_total)
     out = cfg.get("out", src + ".filtered")
-    header = [f"specfilt {__version__}", f"command: {command}",
-              f"source: {src}", f"spec: {_spec_line(spec, x0)}", f"path: {path}"]
-    if not cfg.get("no_timestamp", False):
-        header.insert(2, f"generated: {datetime.datetime.now(datetime.timezone.utc).isoformat()}")
+    header = _header(cfg, command,
+                     [f"source: {src}", f"spec: {_spec_line(spec, x0)}", f"path: {path}"])
     try:
         write_spectrum(out, x, filtered.values, header)
     except OSError as exc:
@@ -451,12 +442,7 @@ def cmd_apply(cfg: RunConfig, command: str) -> int:
         f"gibbs_peak_amplitude={gibbs.peak_amplitude!r}",
         f"gibbs_period_x={period_x!r}",
     ]
-    report_path = out + ".report.txt"
-    try:
-        with open(report_path, "w") as fh:
-            fh.write("\n".join(report_lines) + "\n")
-    except OSError as exc:
-        raise IoFailure(f"cannot write {report_path}: {exc}") from None
+    _write_text(out + ".report.txt", "\n".join(report_lines) + "\n")
     return EXIT_OK
 
 

@@ -9,14 +9,13 @@ the Gibbs residual left by abrupt cutoffs.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad, simpson
+from scipy.integrate import simpson
 from scipy.optimize import brentq
-from scipy.special import sici
+from scipy.special import exp1, sici
 
 from ._gauss import converged, exp_weighted, gauss_legendre
 from .filters import (
@@ -55,7 +54,7 @@ __all__ = [
 
 
 class QuadratureError(RuntimeError):
-    """Adaptive quadrature failed to converge or routes disagree."""
+    """Quadrature failed to converge or routes disagree."""
 
 
 @dataclass(frozen=True)
@@ -79,19 +78,6 @@ class GibbsReport:
     residual: np.ndarray
     peak_amplitude: float
     period_estimate: float
-
-
-def _quad(f, a, b, *, points=None, epsabs=1e-14, epsrel=1e-10, limit=300) -> float:
-    if points is not None:
-        points = [p for p in points if a < p < b]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", IntegrationWarning)
-        try:
-            val, _ = quad(f, a, b, points=points or None, epsabs=epsabs,
-                          epsrel=epsrel, limit=limit)
-        except IntegrationWarning as exc:
-            raise QuadratureError(f"quadrature on [{a:g}, {b:g}] did not converge: {exc}") from None
-    return val
 
 
 def _k_max_for(line: LorentzianLine, spec: FilterSpec) -> float:
@@ -241,6 +227,14 @@ def crossover_eta(which: str = "upper") -> EtaRatio:
     return EtaRatio(float(root))
 
 
+def _integral(g, end: float, width: float, cuts=()) -> float:
+    """integral_0^end g on the Gauss-Legendre core; a missed estimate raises."""
+    values, errors = exp_weighted(g, [0.0], [end], cuts, width, np.inf)
+    if not converged(values, errors)[0]:
+        raise QuadratureError(f"quadrature on [0, {end:g}] did not converge")
+    return float(values[0])
+
+
 def _sinc2_tail(u: float) -> float:
     """integral_u^inf sin(t)^2/t^2 dt via the sine integral."""
     si_2u = sici(2.0 * u)[0]
@@ -249,8 +243,7 @@ def _sinc2_tail(u: float) -> float:
 
 def _sinc2_to_inf() -> float:
     u = 40.0
-    head = _quad(lambda t: np.sinc(t / np.pi) ** 2, 0.0, u, epsabs=1e-13, epsrel=1e-12)
-    return head + _sinc2_tail(u)
+    return _integral(lambda t: np.sinc(t / np.pi) ** 2, u, 1.0) + _sinc2_tail(u)
 
 
 def _ct_sin_terms(spec: CosineTerminated):
@@ -270,8 +263,17 @@ def _ct_sin_terms(spec: CosineTerminated):
     )
 
 
+def _exp_over_t(omega: float, psi: float, u: float) -> complex:
+    """integral_u^inf exp(i(omega t + psi))/t dt = e^{i psi} E1(-i omega u), omega, u > 0.
+
+    The real part is -cos(psi) Ci(omega u) + sin(psi) (Si(omega u) - pi/2), but
+    E1 keeps the relative accuracy that pi/2 - Si loses at large omega u.
+    """
+    return np.exp(1j * psi) * exp1(-1j * omega * u)
+
+
 def _cos_over_poles(omega: float, phi: float, ci: float, cj: float, lo: float) -> float:
-    """integral_lo^inf cos(omega x + phi) / ((x-ci)(x-cj)) dx."""
+    """integral_lo^inf cos(omega x + phi) / ((x-ci)(x-cj)) dx in closed form."""
     if omega < 0.0:
         omega, phi = -omega, -phi
     if omega == 0.0:
@@ -280,21 +282,18 @@ def _cos_over_poles(omega: float, phi: float, ci: float, cj: float, lo: float) -
         else:
             base = np.log((lo - cj) / (lo - ci)) / (ci - cj)
         return np.cos(phi) * base
-
-    def g(x: float) -> float:
-        return 1.0 / ((x - ci) * (x - cj))
-
-    total = 0.0
-    c_phi, s_phi = np.cos(phi), np.sin(phi)
-    if c_phi != 0.0:
-        total += c_phi * quad(g, lo, np.inf, weight="cos", wvar=omega, epsabs=1e-13)[0]
-    if s_phi != 0.0:
-        total -= s_phi * quad(g, lo, np.inf, weight="sin", wvar=omega, epsabs=1e-13)[0]
-    return total
+    if ci == cj:
+        # by parts: integral_u^inf cos(omega t + psi)/t^2 dt with t = x - c
+        u = lo - ci
+        return np.cos(omega * lo + phi) / u - omega * _exp_over_t(omega, phi + omega * ci, u).imag
+    # partial fractions: 1/((x-ci)(x-cj)) = (1/(x-ci) - 1/(x-cj)) / (ci - cj)
+    near = _exp_over_t(omega, phi + omega * ci, lo - ci)
+    far = _exp_over_t(omega, phi + omega * cj, lo - cj)
+    return (near - far).real / (ci - cj)
 
 
 def _ct_ds_tail(spec: CosineTerminated, lo: float) -> float:
-    """integral_lo^inf b(x)^2 dx from the pairwise product-to-sum expansion."""
+    """integral_lo^inf b(x)^2 dx in closed form, from the pairwise product-to-sum expansion."""
     terms = _ct_sin_terms(spec)
     total = 0.0
     for a_i, w_i, p_i, c_i in terms:
@@ -310,8 +309,13 @@ def noise_gain(spec: FilterSpec) -> NoiseReport:
 
     ds_value integrates the squared kernel over x, rs_value the squared
     transfer over k (with the 1/2pi convention); Parseval forces equality, and
-    a mismatch beyond 1e-9 relative is raised as a numeric failure.  For RA
-    and BW one route is a closed form and the other is genuine quadrature.
+    a mismatch beyond 1e-9 relative is raised as a numeric failure.  RA ds and
+    BW rs are closed forms, and GH ds is Simpson's rule on the cached kernel
+    samples.  Every other integral up to a finite end runs on the
+    Gauss-Legendre core of mse_numeric, and a missed error estimate raises
+    QuadratureError.  Past x = 12 + 1/dk (at unit spread) the CT ds tail is a
+    closed form in exponential integrals, so CT ds never evaluates the
+    transfer.
     """
     if isinstance(spec, RunningAverage):
         ds = 1.0 / (2.0 * spec.x_o)                      # exact box integral
@@ -320,21 +324,21 @@ def noise_gain(spec: FilterSpec) -> NoiseReport:
         rs = spec.k_o / np.pi                            # exact box integral
         ds = 2.0 * spec.k_o * _sinc2_to_inf() / np.pi**2
     elif isinstance(spec, GaussHermite):
-        end = support_cutoff(spec)
-        rs = _quad(lambda k: transfer(spec, k) ** 2, 0.0, end) / np.pi
+        rs = _integral(lambda k: transfer(spec, k) ** 2, support_cutoff(spec),
+                       _panel_width(spec)) / np.pi
         xs, bs = gh_kernel_samples(spec)
         ds = 2.0 * float(simpson(bs**2, x=xs))
     elif isinstance(spec, CosineTerminated):
         # Both routes run at unit spread: B(k) = B_1(k/dk) and
         # b(x) = dk * b_1(dk * x), so each integral is dk times its unit-spread
-        # value.  The oscillatory tail then depends on k_1/dk and a alone,
-        # not on the physical scale, which made it miss at some scales.
+        # value.  Panels and tail then depend on k_1/dk and a alone, not on
+        # the physical scale.
         unit = CosineTerminated(spec.k_1 / spec.dk, spec.a, 1.0)
-        rs = spec.dk * _quad(lambda k: transfer(unit, k) ** 2, 0.0, k2_of(unit),
-                             points=[unit.k_1]) / np.pi
+        k2 = k2_of(unit)
+        rs = spec.dk * _integral(lambda k: transfer(unit, k) ** 2, k2, _panel_width(unit),
+                                 breakpoints(unit)) / np.pi
         split = 12.0 + 1.0 / unit.dk
-        head = _quad(lambda x: kernel(unit, x) ** 2, 0.0, split,
-                     points=[1.0 / unit.dk], epsabs=1e-13, epsrel=1e-11)
+        head = _integral(lambda x: kernel(unit, x) ** 2, split, 1.0 / k2)
         ds = spec.dk * 2.0 * (head + _ct_ds_tail(unit, split))
     else:
         raise TypeError(f"unknown filter spec {spec!r}")

@@ -132,6 +132,17 @@ class TestNoiseCommand:
             ["0.254257408653098", "0.25748831939408323", "0.0075066903882579595"],
         ]
 
+    def test_small_dk_finishes(self, capsys):
+        # k_1/dk ~ 190: the ct routes once ran out of adaptive subintervals here
+        assert main(["noise", "--dk", "0.01", "--no-timestamp"]) == EXIT_OK
+        _, body = _rows(capsys.readouterr().out)
+        assert float(body[3][2]) == pytest.approx(float(body[3][3]), rel=1e-9)
+
+    def test_panel_budget_is_a_numeric_failure(self, capsys):
+        # k_1/dk ~ 19000 needs more panels than the quadrature core allows
+        assert main(["noise", "--dk", "0.0001", "--no-timestamp"]) == EXIT_NUMERIC
+        assert "did not converge" in capsys.readouterr().err
+
     def test_grid_n_validated_with_the_rest(self, capsys, monkeypatch):
         # every violation is listed, and nothing is calibrated before that
         def no_calibration(*args, **kwargs):

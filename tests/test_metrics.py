@@ -4,6 +4,9 @@ The closed forms here have independent numeric counterparts (adaptive
 quadrature, literal tail sums); frozen values pin both routes.
 """
 
+import time
+
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -265,6 +268,115 @@ class TestNoiseGain:
         ra = noise_gain(calibrate("ra", 1.0).spec).rms_gain
         bw = noise_gain(calibrate("bw", 1.0).spec).rms_gain
         assert bw / ra == pytest.approx(1.10, abs=0.01)
+
+    def test_small_dk_finishes(self):
+        """Near the brick-wall end of the ct family (k_1/dk up to ~1900) both
+        routes finish and agree, and the gain climbs towards BW's."""
+        rs = []
+        for dk in (0.5, 0.01, 0.001):
+            rep = noise_gain(calibrate("ct", 1.0, a=5.0, dk=dk).spec)
+            assert rep.ds_value == pytest.approx(rep.rs_value, rel=1e-9)
+            rs.append(rep.rs_value)
+        assert rs[0] < rs[1] < rs[2] < calibrate("bw", 1.0).spec.k_o / np.pi
+
+    def test_panel_budget_fails_fast(self):
+        """Past the core's panel budget either route raises at once."""
+        for ratio in (6000.0, 1e5, 1e9):  # at 6000 the ds head runs out, past it the rs route
+            start = time.perf_counter()
+            with pytest.raises(QuadratureError):
+                noise_gain(CosineTerminated(ratio, 5.0, 1.0))
+            assert time.perf_counter() - start < 2.0
+
+    def test_nan_integrand_is_a_failure(self, monkeypatch):
+        """A NaN transfer or kernel inside a range raises, never returns NaN."""
+        gh = calibrate("gh", 1.0, m=20).spec
+        ct = calibrate("ct", 1.0, a=5.0, dk=0.5).spec
+        real_transfer, real_kernel = metrics.transfer, metrics.kernel
+        with monkeypatch.context() as patch:
+            patch.setattr(metrics, "transfer", lambda spec, k: np.where(
+                np.asarray(k) > 1.0, np.nan, real_transfer(spec, k)))
+            for spec in (gh, ct):
+                with pytest.raises(QuadratureError):
+                    noise_gain(spec)
+        with monkeypatch.context() as patch:
+            patch.setattr(metrics, "kernel", lambda spec, x: np.where(
+                np.asarray(x) > 5.0, np.nan, real_kernel(spec, x)))
+            with pytest.raises(QuadratureError):
+                noise_gain(ct)
+
+
+# ds_value and rs_value of CosineTerminated(r, a, 1) for r = k_1/dk in
+# _CT_RATIOS, captured from the adaptive-quadrature routes (scipy QUADPACK,
+# incl. QAWF for the ds tail) before they moved to the Gauss-Legendre core.
+_CT_RATIOS = (0.0, 1.0, 3.0, 10.0, 30.0)
+_CT_FROZEN = {
+    0.5: ((0.37500000000000006, 0.375), (0.6933098861837909, 0.6933098861837906),
+          (1.3299296585513718, 1.329929658551372), (3.5580988618379075, 3.5580988618379066),
+          (9.924296585513707, 9.924296585513721)),
+    1.0: ((0.25, 0.25), (0.5683098861837907, 0.5683098861837906),
+          (1.2049296585513722, 1.204929658551372), (3.433098861837907, 3.4330988618379066),
+          (9.799296585513718, 9.799296585513721)),
+    2.0: ((0.173006656867312, 0.17300665686731198), (0.4913165430511027, 0.4913165430511026),
+          (1.1279363154186839, 1.1279363154186839), (3.3561055187052196, 3.356105518705219),
+          (9.722303242381031, 9.722303242381033)),
+    5.0: ((0.1081558426170722, 0.10815584261707128),
+          (0.42646572880086453, 0.42646572880086203),
+          (1.0630855011684428, 1.0630855011684432), (3.2912547044549796, 3.2912547044549783),
+          (9.6574524281308, 9.65745242813079)),
+    10.0: ((0.07619594069197877, 0.07619594069197928),
+           (0.3945058268757795, 0.39450582687576996),
+           (1.031125599243356, 1.0311255992433512), (3.259294802529891, 3.2592948025298862),
+           (9.625492526205699, 9.625492526205699)),
+}
+_ISLAND_X0 = 18.791550682890122
+
+
+def _ct_kernel_mp(x, k1, a):
+    """Unit-spread ct kernel (1/pi) integral_0^k2 B(k) cos(kx) dk, integrated by hand."""
+    k2 = k1 + mp.acos(1 - 1 / a)
+    roll = (a / 2) * ((mp.sin((x + 1) * k2 - k1) - mp.sin(x * k1)) / (x + 1)
+                      + (mp.sin((x - 1) * k2 + k1) - mp.sin(x * k1)) / (x - 1))
+    return (((1 - a) * mp.sin(k2 * x) + a * mp.sin(k1 * x)) / x + roll) / mp.pi
+
+
+class TestCtNoiseRoutes:
+    """The ct noise routes against values frozen from the former quadrature
+    and against a 40-digit oracle for the closed-form direct-space tail."""
+
+    def test_frozen_values(self):
+        for a, rows in _CT_FROZEN.items():
+            for r, (ds, rs) in zip(_CT_RATIOS, rows):
+                for dk in (1.0, 0.5 / _ISLAND_X0, 37.0):
+                    rep = noise_gain(CosineTerminated(r * dk, a, dk))
+                    assert rep.ds_value == pytest.approx(dk * ds, rel=1e-12), (a, r, dk)
+                    assert rep.rs_value == pytest.approx(dk * rs, rel=1e-12), (a, r, dk)
+        # the scale that once failed the Parseval check
+        rep = noise_gain(calibrate("ct", _ISLAND_X0, a=5.0, dk=0.5 / _ISLAND_X0).spec)
+        assert rep.ds_value == pytest.approx(0.03132045379103838, rel=1e-12)
+        assert rep.rs_value == pytest.approx(0.031320453791038344, rel=1e-12)
+
+    def test_tail_against_oracle(self):
+        """integral_lo^inf b^2 dx, lo = 12 + 1/dk, against 40-digit mpmath.
+
+        The oracle is Parseval's (1/2pi) integral B^2 dk minus integral_0^lo
+        b^2 dx, both by mpmath quadrature of formulas written here.  The tail
+        is compared on the scale of integral_0^inf b^2, the quantity it
+        enters: where the tail is small (a = 1/2, 1e-8 of the total) its own
+        relative error is larger, since its terms cancel by a factor 1e5.
+        """
+        lo = 13.0
+        with mp.workdps(40):
+            for a in (0.5, 5.0, 10.0):
+                for r in (0.0, 1.0, 30.0):
+                    A, k1 = mp.mpf(a), mp.mpf(r)
+                    k2 = k1 + mp.acos(1 - 1 / A)
+                    total = (k1 + mp.quad(lambda k: (1 - A + A * mp.cos(k - k1)) ** 2, [k1, k2],
+                                          method="gauss-legendre")) / (2 * mp.pi)
+                    pieces = mp.linspace(mp.mpf(10) ** -30, lo, int(lo * k2 / 40) + 2)
+                    head = mp.quad(lambda x: _ct_kernel_mp(x, k1, A) ** 2, pieces,
+                                   method="gauss-legendre")
+                    got = metrics._ct_ds_tail(CosineTerminated(r, a, 1.0), lo)
+                    assert abs(got - float(total - head)) <= 1e-14 * float(total), (a, r)
 
 
 class TestNoiseCutoff:
