@@ -32,7 +32,7 @@ _RATE_SPAN = 8.0
 # many panels nor a long batch ever materializes all evaluations at once.
 _BLOCK = 1 << 18
 # Panels one level may use; past it the level fails instead of allocating.
-_MAX_PANELS = 1 << 16
+MAX_PANELS = 1 << 16
 
 
 def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -129,9 +129,10 @@ def exp_weighted(g: Callable[[np.ndarray], np.ndarray], rates, ends, cuts,
     never on the rest of the batch.  g must accept an array of any shape.
 
     Returns the 2n-point values and their distances from the n-point values
-    (see ``converged``).  A NaN of g inside [0, end_j], or a level needing
-    more than _MAX_PANELS panels, makes value and estimate NaN for those j
-    alone.
+    (see ``converged``).  A NaN of g inside [0, end_j] makes value and
+    estimate NaN for those j alone; a level needing more than MAX_PANELS
+    panels makes their values NaN and their estimates inf, so a caller can
+    tell the two apart.
     """
     rates = np.asarray(rates, dtype=float)
     ends = np.asarray(ends, dtype=float)
@@ -147,8 +148,8 @@ def exp_weighted(g: Callable[[np.ndarray], np.ndarray], rates, ends, cuts,
         head = min(flat_from, top)
         n_head = int(head / fine) + 1
         n_flat = int((top - flat_from) / step) + 1 if flat_from < top else 0
-        if not n_head + n_flat <= _MAX_PANELS:
-            values[sel] = errors[sel] = np.nan
+        if not n_head + n_flat <= MAX_PANELS:
+            values[sel], errors[sel] = np.nan, np.inf
             continue
         edges = np.unique(np.concatenate([np.arange(n_head) * fine,
                                           flat_from + np.arange(n_flat) * step,

@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Subcommands: calibrate, kernel, transfer, sweep, noise, apply, gibbs, bench.
+Subcommands: calibrate, kernel, transfer, sweep, noise, apply, gibbs.
 Every command is deterministic given its configuration and seed; output files
 are plain columnar text (csv or tsv) whose header comments record the full
 parameter set, so a run can be reproduced from its own output.  Exit codes:
@@ -11,9 +11,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
-import platform
 import sys
-import time
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -35,11 +33,8 @@ from .filters import (
     CalibrationResult,
     CosineTerminated,
     FilterSpec,
-    GaussHermite,
     calibrate,
-    gh_kernel_quadrature,
     half_transfer_point,
-    k2_of,
     kernel,
     parse_spec,
     serialize_spec,
@@ -69,10 +64,9 @@ _CONFIG_TYPES = {
     "x0": float, "family": str, "m": int, "a": float, "dk": float, "k1": float,
     "eta": float, "out": str, "format": str, "seed": int, "no_timestamp": bool,
     "kind": str, "eta_min": float, "eta_max": float, "eta_points": int,
-    "m_list": str, "dk_list": str, "gamma": float, "gamma_list": str,
-    "trials": int, "grid_n": int, "path": str, "spec": str, "min": float,
-    "max": float, "points": int, "bench_points": int, "gh_sample": int,
-    "repeats": int, "sigma": float, "unit_height": bool, "curve": bool,
+    "m_list": str, "dk_list": str, "gamma_list": str, "trials": int,
+    "grid_n": int, "path": str, "spec": str, "min": float, "max": float,
+    "points": int, "unit_height": bool, "curve": bool,
 }
 
 
@@ -478,58 +472,6 @@ def cmd_gibbs(cfg: RunConfig, command: str) -> int:
     return EXIT_OK
 
 
-def _median_eval_ns(fn, repeats: int) -> float:
-    times = []
-    fn()  # warm-up
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - t0)
-    return float(np.median(times)) * 1e9
-
-
-def cmd_bench(cfg: RunConfig, command: str) -> int:
-    points = cfg.get("bench_points", 100_000)
-    sample = cfg.get("gh_sample", 200)
-    m = cfg.get("m", 100)
-    repeats = cfg.get("repeats", 5)
-    cfg.check(points >= 1000, f"--bench-points must be >= 1000, got {points}")
-    cfg.check(1 <= sample <= points, f"--gh-sample must be in [1, bench points], got {sample}")
-    cfg.check(m >= 1, f"--m must be >= 1, got {m}")
-    cfg.check(repeats >= 1, f"--repeats must be >= 1, got {repeats}")
-    cfg.finish()
-    x0 = cfg.get("x0", 1.0)
-    ct = calibrate("ct", x0, a=cfg.get("a", 5.0), dk=cfg.get("dk", 0.5)).spec
-    gh = calibrate("gh", x0, m=m).spec
-    xs = np.linspace(0.0, 60.0, int(points))
-    xs_sub = xs[:: max(1, int(points) // int(sample))][: int(sample)]
-
-    ct_ns = _median_eval_ns(lambda: kernel(ct, xs), repeats) / points
-    gh_un_ns = _median_eval_ns(
-        lambda: [gh_kernel_quadrature(gh, float(x)) for x in xs_sub],
-        min(repeats, 2)) / len(xs_sub)
-    kernel(gh, xs)  # build the cache outside the timed region
-    gh_ca_ns = _median_eval_ns(lambda: kernel(gh, xs), repeats) / points
-
-    speedup = gh_un_ns / ct_ns
-    status = "ok" if speedup >= 50.0 else "warning: below the 50x desk-scale threshold"
-    cpu = platform.processor() or platform.machine()
-    meta = [
-        f"workload: kernel values on {points} x-points (gh uncached sampled at {len(xs_sub)})",
-        f"environment: {platform.platform()} cpu={cpu} python={platform.python_version()}",
-        f"spec_ct: {_spec_line(ct)}", f"spec_gh: {_spec_line(gh)}",
-        f"speedup_ct_vs_gh_uncached={speedup!r}", f"status: {status}",
-    ]
-    rows = [
-        ["ct_closed_form", int(points), int(repeats), ct_ns],
-        [f"gh_m{m}_uncached_quadrature", len(xs_sub), min(repeats, 2), gh_un_ns],
-        [f"gh_m{m}_cached", int(points), int(repeats), gh_ca_ns],
-    ]
-    TableWriter(cfg, command, meta).write(
-        ("evaluator", "evals", "repeats", "ns_per_eval"), rows)
-    return EXIT_OK
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="specfilt",
@@ -587,12 +529,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="normalize lines to unit height instead of unit area")
     p.add_argument("--curve", action="store_const", const=True,
                    help="tabulate residual and kernel curves instead of the summary")
-
-    p = sub.add_parser("bench", parents=[common],
-                       help="time ct closed form vs gh quadrature kernels")
-    p.add_argument("--bench-points", type=int)
-    p.add_argument("--gh-sample", type=int)
-    p.add_argument("--repeats", type=int)
     return parser
 
 
@@ -604,7 +540,6 @@ _DISPATCH = {
     "noise": cmd_noise,
     "apply": cmd_apply,
     "gibbs": cmd_gibbs,
-    "bench": cmd_bench,
 }
 
 

@@ -11,7 +11,7 @@ truncation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence, get_args
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -197,7 +197,7 @@ def noise_transmission_empirical(spec: FilterSpec | Sequence[FilterSpec],
         raise ValueError(f"need at least 100 trials, got {trials}")
     if not noise.sigma > 0:
         raise ValueError("noise model must have sigma > 0")
-    single = isinstance(spec, get_args(FilterSpec))
+    single = isinstance(spec, FilterSpec)
     specs = [spec] if single else list(spec)
     weights = [sampled_kernel(s, grid, dx=dx) for s in specs]
     m = grid.size

@@ -1,17 +1,19 @@
 """Low-pass filter families in direct and reciprocal space.
 
-Each filter is described by an immutable spec carrying its reciprocal-space
-parameters.  ``transfer`` evaluates the reciprocal-space multiplier B(k),
-``kernel`` the direct-space convolution weight b(x), and ``calibrate`` fixes
-the free parameter of a family so that b(x_o)/b(0) = 1/2 for a requested
-direct-space half-width x_o.
+Each family is one immutable spec class carrying its reciprocal-space
+parameters, and that class is the one place where the family is defined:
+transfer B(k), kernel b(x), breakpoints and cutoffs, calibration and its
+serialization tag.  The module functions check that they were given a spec
+and ask its class: ``transfer`` evaluates B(k), ``kernel`` b(x), and
+``calibrate`` fixes a family's free parameter so that b(x_o)/b(0) = 1/2 for
+a requested direct-space half-width x_o.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
-from typing import Callable, Union
+from dataclasses import dataclass, fields
+from typing import Callable, ClassVar, Union
 
 import numpy as np
 from scipy.integrate import quad
@@ -55,30 +57,113 @@ class CalibrationError(RuntimeError):
     """No bracket for the calibration root within the scanned range."""
 
 
+def _sinc(t: np.ndarray) -> np.ndarray:
+    """sin(t)/t with the t=0 limit."""
+    return np.sinc(t / np.pi)
+
+
+class _Family:
+    """Defaults of the spec classes, which override what they have in closed form.
+
+    Every family defines ``tag``, ``_transfer``, ``_kernel``,
+    ``_half_transfer_point`` and the ``_calibrated`` classmethod.  Methods
+    call the module functions (``kernel``, ``gh_kernel_quadrature``, ...),
+    not each other, so that a wrapper bound to those names sees every call.
+    """
+
+    tag: ClassVar[str]
+
+    def _support_cutoff(self) -> float | None:
+        return None
+
+    def _breakpoints(self) -> tuple[float, ...]:
+        return ()
+
+    def _ds_cutoff(self) -> float:
+        scale = 1.0 / half_transfer_point(self)
+        b0 = float(kernel(self, 0.0))
+
+        def f(x: float) -> float:
+            return float(kernel(self, x)) / b0 - 0.5
+
+        return _first_root(f, 1e-4 * scale, 1e3 * scale)
+
+    def _residual(self, x_o: float) -> float:
+        """|b(x_o)/b(0) - 1/2| achieved by a calibration."""
+        return abs(_half_height_mismatch(self, x_o))
+
+    def _derived(self) -> dict[str, float]:
+        """Keys written after the fields that follow from them; parse_spec checks them."""
+        return {}
+
+
 @dataclass(frozen=True)
-class RunningAverage:
+class RunningAverage(_Family):
     """Rectangular direct-space kernel of half-width x_o."""
 
+    tag = "ra"
     x_o: float
 
     def __post_init__(self) -> None:
         if not self.x_o > 0:
             raise ValueError(f"running average requires x_o > 0, got {self.x_o}")
 
+    def _transfer(self, k: np.ndarray) -> np.ndarray:
+        return _sinc(k * self.x_o)
+
+    def _kernel(self, x: np.ndarray) -> np.ndarray:
+        # half weight exactly on the boundary, matching the step convention
+        ax = np.abs(x)
+        w = np.where(ax < self.x_o, 1.0, np.where(ax == self.x_o, 0.5, 0.0))
+        return w / (2.0 * self.x_o)
+
+    def _half_transfer_point(self) -> float:
+        return SINC_HALF_CROSSING / self.x_o
+
+    def _ds_cutoff(self) -> float:
+        return self.x_o
+
+    @classmethod
+    def _calibrated(cls, x_o: float, lo: float, hi: float, **_) -> RunningAverage:
+        return cls(x_o)
+
 
 @dataclass(frozen=True)
-class BrickWall:
+class BrickWall(_Family):
     """Ideal low-pass: unit transfer up to cutoff k_o, zero beyond."""
 
+    tag = "bw"
     k_o: float
 
     def __post_init__(self) -> None:
         if not self.k_o > 0:
             raise ValueError(f"brick wall requires k_o > 0, got {self.k_o}")
 
+    def _transfer(self, k: np.ndarray) -> np.ndarray:
+        return np.where(np.abs(k) <= self.k_o, 1.0, 0.0)
+
+    def _kernel(self, x: np.ndarray) -> np.ndarray:
+        return (self.k_o / np.pi) * _sinc(self.k_o * x)
+
+    def _support_cutoff(self) -> float:
+        return self.k_o
+
+    def _breakpoints(self) -> tuple[float, ...]:
+        return (self.k_o,)
+
+    def _half_transfer_point(self) -> float:
+        return self.k_o
+
+    def _ds_cutoff(self) -> float:
+        return SINC_HALF_CROSSING / self.k_o
+
+    @classmethod
+    def _calibrated(cls, x_o: float, lo: float, hi: float, **_) -> BrickWall:
+        return cls(_first_root(lambda k: float(_sinc(np.asarray(k * x_o))) - 0.5, lo, hi))
+
 
 @dataclass(frozen=True)
-class GaussHermite:
+class GaussHermite(_Family):
     """Gaussian times a partial exponential series in u = (k/k_s)^2.
 
     Order m keeps the m+1 terms n = 0..m: B(k) = exp(-u) * sum u^n/n!, which
@@ -88,6 +173,7 @@ class GaussHermite:
     convention; the paper's abstract does not fix one.
     """
 
+    tag = "gh"
     m: int
     k_s: float
 
@@ -97,11 +183,36 @@ class GaussHermite:
         if not self.k_s > 0:
             raise ValueError(f"gauss-hermite requires k_s > 0, got {self.k_s}")
 
+    def _transfer(self, k: np.ndarray) -> np.ndarray:
+        return gammaincc(self.m + 1, (k / self.k_s) ** 2)
+
+    def _kernel(self, x: np.ndarray) -> np.ndarray:
+        return _gh_table(self)(x)
+
+    def _support_cutoff(self) -> float:
+        # B(k) < 1e-15 beyond it
+        return self.k_s * float(np.sqrt(gammainccinv(self.m + 1, 1e-15)))
+
+    def _half_transfer_point(self) -> float:
+        return self.k_s * float(np.sqrt(gammainccinv(self.m + 1, 0.5)))
+
+    def _residual(self, x_o: float) -> float:
+        # by quadrature, so that calibrating never builds a kernel table
+        return abs(gh_kernel_quadrature(self, x_o) / gh_kernel_quadrature(self, 0.0) - 0.5)
+
+    @classmethod
+    def _calibrated(cls, x_o: float, lo: float, hi: float, *, m: int | None = None,
+                    **_) -> GaussHermite:
+        if m is None:
+            raise ValueError("gh calibration requires the order m")
+        return cls(int(m), _first_root(_gh_half_height_mismatch(int(m), x_o), lo, hi))
+
 
 @dataclass(frozen=True)
-class CosineTerminated:
+class CosineTerminated(_Family):
     """Unit transfer to k_1, raised-cosine rolloff of steepness a and spread dk."""
 
+    tag = "ct"
     k_1: float
     a: float
     dk: float
@@ -114,8 +225,61 @@ class CosineTerminated:
         if not self.dk > 0:
             raise ValueError(f"cosine-terminated requires dk > 0, got {self.dk}")
 
+    def _transfer(self, k: np.ndarray) -> np.ndarray:
+        ak = np.abs(k)
+        roll = self.a * np.cos((ak - self.k_1) / self.dk) - self.a + 1.0
+        return np.where(ak <= self.k_1, 1.0, np.where(ak >= k2_of(self), 0.0, roll))
+
+    def _kernel(self, x: np.ndarray) -> np.ndarray:
+        # Exact rewrite of the three-term closed-form kernel.  Writing each term
+        # as cos(...)*sinc(...) removes the singularities at x = 0 and
+        # x = +-1/dk analytically, so no branch switching is needed near them.
+        k1 = self.k_1
+        k2 = k2_of(self)
+        a = self.a
+        c = k2 - k1  # rolloff width; c/dk = arccos(1 - 1/a)
+        d = 1.0 / self.dk
+        b1 = (k1 * _sinc(k1 * x) + (1.0 - a) * c * np.cos(0.5 * (k1 + k2) * x) * _sinc(0.5 * c * x)) / np.pi
+        amp = a * c / (2.0 * np.pi)
+        b2 = amp * np.cos((0.5 * c + k1) * (x + d) - k1 * d) * _sinc(0.5 * c * (x + d))
+        b3 = amp * np.cos((0.5 * c + k1) * (x - d) + k1 * d) * _sinc(0.5 * c * (x - d))
+        return b1 + b2 + b3
+
+    def _support_cutoff(self) -> float:
+        return k2_of(self)
+
+    def _breakpoints(self) -> tuple[float, ...]:
+        return (self.k_1, k2_of(self))
+
+    def _half_transfer_point(self) -> float:
+        return self.k_1 + self.dk * float(np.arccos(1.0 - 0.5 / self.a))
+
+    def _derived(self) -> dict[str, float]:
+        return {"k_2": k2_of(self)}
+
+    @classmethod
+    def _calibrated(cls, x_o: float, lo: float, hi: float, *, a: float | None = None,
+                    dk: float | None = None, **_) -> CosineTerminated:
+        if a is None or dk is None:
+            raise ValueError("ct calibration requires a and dk")
+
+        def f(k_1: float) -> float:
+            return _half_height_mismatch(cls(k_1, a, dk), x_o)
+
+        try:
+            k_1 = _first_root(f, lo, hi)
+        except CalibrationError:
+            raise CalibrationError(
+                f"ct(a={a}, dk={dk}) cannot reach b({x_o})/b(0) = 1/2 for any "
+                f"k_1 >= 0; residual at the clamped k_1 = 0 is {f(0.0):+.3e}"
+            ) from None
+        return cls(k_1, a, dk)
+
 
 FilterSpec = Union[RunningAverage, BrickWall, GaussHermite, CosineTerminated]
+
+# family tag -> spec class
+_BY_TAG = {cls.tag: cls for cls in _Family.__subclasses__()}
 
 
 @dataclass(frozen=True)
@@ -125,9 +289,10 @@ class CalibrationResult:
     residual: float  # |b(x_o)/b(0) - 1/2| achieved
 
 
-def _sinc(t: np.ndarray) -> np.ndarray:
-    """sin(t)/t with the t=0 limit."""
-    return np.sinc(t / np.pi)
+def _checked(spec) -> FilterSpec:
+    if not isinstance(spec, _Family):  # one of the FilterSpec classes
+        raise TypeError(f"unknown filter spec {spec!r}")
+    return spec
 
 
 def k2_of(spec: CosineTerminated) -> float:
@@ -137,68 +302,23 @@ def k2_of(spec: CosineTerminated) -> float:
 
 def transfer(spec: FilterSpec, k):
     """Reciprocal-space transfer B(k); even in k, B(0) = 1."""
-    k = np.asarray(k, dtype=float)
-    ak = np.abs(k)
-    if isinstance(spec, RunningAverage):
-        out = _sinc(k * spec.x_o)
-    elif isinstance(spec, BrickWall):
-        out = np.where(ak <= spec.k_o, 1.0, 0.0)
-    elif isinstance(spec, GaussHermite):
-        out = gammaincc(spec.m + 1, (k / spec.k_s) ** 2)
-    elif isinstance(spec, CosineTerminated):
-        k2 = k2_of(spec)
-        roll = spec.a * np.cos((ak - spec.k_1) / spec.dk) - spec.a + 1.0
-        out = np.where(ak <= spec.k_1, 1.0, np.where(ak >= k2, 0.0, roll))
-    else:
-        raise TypeError(f"unknown filter spec {spec!r}")
+    out = _checked(spec)._transfer(np.asarray(k, dtype=float))
     return out if out.ndim else float(out)
-
-
-def _ct_kernel(spec: CosineTerminated, x: np.ndarray) -> np.ndarray:
-    # Exact rewrite of the three-term closed-form kernel.  Writing each term as
-    # cos(...)*sinc(...) removes the singularities at x = 0 and x = +-1/dk
-    # analytically, so no branch switching is needed near them.
-    k1 = spec.k_1
-    k2 = k2_of(spec)
-    a = spec.a
-    c = k2 - k1  # rolloff width; c/dk = arccos(1 - 1/a)
-    d = 1.0 / spec.dk
-    b1 = (k1 * _sinc(k1 * x) + (1.0 - a) * c * np.cos(0.5 * (k1 + k2) * x) * _sinc(0.5 * c * x)) / np.pi
-    amp = a * c / (2.0 * np.pi)
-    b2 = amp * np.cos((0.5 * c + k1) * (x + d) - k1 * d) * _sinc(0.5 * c * (x + d))
-    b3 = amp * np.cos((0.5 * c + k1) * (x - d) + k1 * d) * _sinc(0.5 * c * (x - d))
-    return b1 + b2 + b3
 
 
 def support_cutoff(spec: FilterSpec) -> float | None:
     """Frequency beyond which B(k) vanishes (to 1e-15 for GH); None for RA."""
-    if isinstance(spec, BrickWall):
-        return spec.k_o
-    if isinstance(spec, CosineTerminated):
-        return k2_of(spec)
-    if isinstance(spec, GaussHermite):
-        return spec.k_s * float(np.sqrt(gammainccinv(spec.m + 1, 1e-15)))
-    return None
+    return _checked(spec)._support_cutoff()
 
 
 def breakpoints(spec: FilterSpec) -> tuple[float, ...]:
     """Frequencies where B(k) is non-smooth; quadrature must split there."""
-    if isinstance(spec, BrickWall):
-        return (spec.k_o,)
-    if isinstance(spec, CosineTerminated):
-        return (spec.k_1, k2_of(spec))
-    return ()
+    return _checked(spec)._breakpoints()
 
 
 def half_transfer_point(spec: FilterSpec) -> float:
     """First k where B(k) = 1/2 (the reciprocal-space cutoff equivalent)."""
-    if isinstance(spec, RunningAverage):
-        return SINC_HALF_CROSSING / spec.x_o
-    if isinstance(spec, BrickWall):
-        return spec.k_o
-    if isinstance(spec, GaussHermite):
-        return spec.k_s * float(np.sqrt(gammainccinv(spec.m + 1, 0.5)))
-    return spec.k_1 + spec.dk * float(np.arccos(1.0 - 0.5 / spec.a))
+    return _checked(spec)._half_transfer_point()
 
 
 class _GhKernelTable:
@@ -289,20 +409,7 @@ def gh_kernel_quadrature(spec: GaussHermite, x: float) -> float:
 
 def kernel(spec: FilterSpec, x):
     """Direct-space kernel b(x); even in x and unit-area for every family."""
-    x = np.asarray(x, dtype=float)
-    ax = np.abs(x)
-    if isinstance(spec, RunningAverage):
-        # half weight exactly on the boundary, matching the step convention
-        w = np.where(ax < spec.x_o, 1.0, np.where(ax == spec.x_o, 0.5, 0.0))
-        out = w / (2.0 * spec.x_o)
-    elif isinstance(spec, BrickWall):
-        out = (spec.k_o / np.pi) * _sinc(spec.k_o * x)
-    elif isinstance(spec, CosineTerminated):
-        out = _ct_kernel(spec, x)
-    elif isinstance(spec, GaussHermite):
-        out = _gh_table(spec)(x)
-    else:
-        raise TypeError(f"unknown filter spec {spec!r}")
+    out = _checked(spec)._kernel(np.asarray(x, dtype=float))
     return out if out.ndim else float(out)
 
 
@@ -320,6 +427,11 @@ def _first_root(f: Callable[[float], float], lo: float, hi: float, n: int = 240)
     raise CalibrationError(
         f"no sign change of the calibration residual in [{lo:g}, {hi:g}]"
     )
+
+
+def _half_height_mismatch(spec: FilterSpec, x_o: float) -> float:
+    """b(x_o)/b(0) - 1/2, the residual whose root calibrates a spec."""
+    return float(kernel(spec, x_o)) / float(kernel(spec, 0.0)) - 0.5
 
 
 def _gh_half_height_mismatch(m: int, x_o: float) -> Callable[[float], float]:
@@ -342,16 +454,6 @@ def _gh_half_height_mismatch(m: int, x_o: float) -> Callable[[float], float]:
     return f
 
 
-def _kernel_ratio_residual(spec: FilterSpec, x_o: float) -> float:
-    if isinstance(spec, GaussHermite):
-        b_xo = gh_kernel_quadrature(spec, x_o)
-        b_0 = gh_kernel_quadrature(spec, 0.0)
-    else:
-        b_xo = float(kernel(spec, x_o))
-        b_0 = float(kernel(spec, 0.0))
-    return abs(b_xo / b_0 - 0.5)
-
-
 def calibrate(family: str, x_o: float, *, m: int | None = None,
               a: float | None = None, dk: float | None = None) -> CalibrationResult:
     """Fix a family's free parameter so its kernel satisfies b(x_o)/b(0) = 1/2.
@@ -363,36 +465,11 @@ def calibrate(family: str, x_o: float, *, m: int | None = None,
     """
     if not x_o > 0:
         raise ValueError(f"calibration requires x_o > 0, got {x_o}")
-    lo, hi = 1e-6 / x_o, 1e3 / x_o
-    if family == "ra":
-        spec: FilterSpec = RunningAverage(x_o)
-    elif family == "bw":
-        k_o = _first_root(lambda k: float(_sinc(np.asarray(k * x_o))) - 0.5, lo, hi)
-        spec = BrickWall(k_o)
-    elif family == "gh":
-        if m is None:
-            raise ValueError("gh calibration requires the order m")
-        k_s = _first_root(_gh_half_height_mismatch(int(m), x_o), lo, hi)
-        spec = GaussHermite(int(m), k_s)
-    elif family == "ct":
-        if a is None or dk is None:
-            raise ValueError("ct calibration requires a and dk")
-
-        def f(k_1: float) -> float:
-            s = CosineTerminated(k_1, a, dk)
-            return float(kernel(s, x_o)) / float(kernel(s, 0.0)) - 0.5
-
-        try:
-            k_1 = _first_root(f, lo, hi)
-        except CalibrationError:
-            raise CalibrationError(
-                f"ct(a={a}, dk={dk}) cannot reach b({x_o})/b(0) = 1/2 for any "
-                f"k_1 >= 0; residual at the clamped k_1 = 0 is {f(0.0):+.3e}"
-            ) from None
-        spec = CosineTerminated(k_1, a, dk)
-    else:
+    cls = _BY_TAG.get(family)
+    if cls is None:
         raise ValueError(f"unknown filter family {family!r}")
-    return CalibrationResult(spec, x_o, _kernel_ratio_residual(spec, x_o))
+    spec = cls._calibrated(x_o, 1e-6 / x_o, 1e3 / x_o, m=m, a=a, dk=dk)
+    return CalibrationResult(spec, x_o, spec._residual(x_o))
 
 
 def special_case(name: str, x_o: float, *, dk: float | None = None) -> FilterSpec:
@@ -410,8 +487,7 @@ def special_case(name: str, x_o: float, *, dk: float | None = None) -> FilterSpe
         a = 0.5 if name == "hann" else 1.0
 
         def f(width: float) -> float:
-            s = CosineTerminated(0.0, a, width)
-            return float(kernel(s, x_o)) / float(kernel(s, 0.0)) - 0.5
+            return _half_height_mismatch(CosineTerminated(0.0, a, width), x_o)
 
         width = _first_root(f, 1e-6 / x_o, 1e3 / x_o)
         return CosineTerminated(0.0, a, width)
@@ -420,50 +496,35 @@ def special_case(name: str, x_o: float, *, dk: float | None = None) -> FilterSpe
 
 def ds_cutoff(spec: FilterSpec) -> float:
     """Direct-space half-height point: first x > 0 with b(x)/b(0) = 1/2."""
-    if isinstance(spec, RunningAverage):
-        return spec.x_o
-    if isinstance(spec, BrickWall):
-        return SINC_HALF_CROSSING / spec.k_o
-    scale = 1.0 / half_transfer_point(spec)
-    b0 = float(kernel(spec, 0.0))
-
-    def f(x: float) -> float:
-        return float(kernel(spec, x)) / b0 - 0.5
-
-    return _first_root(f, 1e-4 * scale, 1e3 * scale)
+    return _checked(spec)._ds_cutoff()
 
 
-_FAMILY_TAGS = {
-    RunningAverage: "ra",
-    BrickWall: "bw",
-    GaussHermite: "gh",
-    CosineTerminated: "ct",
-}
+def _field_type(f) -> type:
+    # annotations are strings here (postponed evaluation); every field that
+    # is not an int is a float
+    return int if f.type == "int" else float
 
 
 def serialize_spec(spec: FilterSpec, x_o: float | None = None) -> str:
-    """Flat key=value text block for a spec; floats keep full precision."""
-    lines = [f"family={_FAMILY_TAGS[type(spec)]}"]
-    if x_o is not None and not isinstance(spec, RunningAverage):
+    """Flat key=value text block for a spec; floats keep full precision.
+
+    The family tag comes first, then x_o when given and not itself a field,
+    the fields in order and the keys derived from them.
+    """
+    spec = _checked(spec)
+    lines = [f"family={spec.tag}"]
+    if x_o is not None and "x_o" not in {f.name for f in fields(spec)}:
         lines.append(f"x_o={x_o!r}")
-    if isinstance(spec, RunningAverage):
-        lines.append(f"x_o={spec.x_o!r}")
-    elif isinstance(spec, BrickWall):
-        lines.append(f"k_o={spec.k_o!r}")
-    elif isinstance(spec, GaussHermite):
-        lines.append(f"m={spec.m}")
-        lines.append(f"k_s={spec.k_s!r}")
-    else:
-        lines.append(f"k_1={spec.k_1!r}")
-        lines.append(f"a={spec.a!r}")
-        lines.append(f"dk={spec.dk!r}")
-        lines.append(f"k_2={k2_of(spec)!r}")
+    for f in fields(spec):
+        value = getattr(spec, f.name)
+        lines.append(f"{f.name}={value}" if _field_type(f) is int else f"{f.name}={value!r}")
+    lines += [f"{key}={value!r}" for key, value in spec._derived().items()]
     return "\n".join(lines) + "\n"
 
 
 def parse_spec(text: str) -> FilterSpec:
     """Inverse of serialize_spec; tolerates comments and the metadata keys."""
-    fields: dict[str, str] = {}
+    pairs: dict[str, str] = {}
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -471,32 +532,25 @@ def parse_spec(text: str) -> FilterSpec:
         if "=" not in line:
             raise ValueError(f"expected key=value, got {line!r}")
         key, val = line.split("=", 1)
-        fields[key.strip()] = val.strip()
-    family = fields.pop("family", None)
+        pairs[key.strip()] = val.strip()
+    family = pairs.pop("family", None)
     if family is None:
         raise ValueError("spec block is missing the family key")
+    cls = _BY_TAG.get(family)
+    if cls is None:
+        raise ValueError(f"unknown filter family {family!r}")
     try:
-        if family == "ra":
-            spec: FilterSpec = RunningAverage(float(fields.pop("x_o")))
-        elif family == "bw":
-            spec = BrickWall(float(fields.pop("k_o")))
-        elif family == "gh":
-            spec = GaussHermite(int(fields.pop("m")), float(fields.pop("k_s")))
-        elif family == "ct":
-            spec = CosineTerminated(float(fields.pop("k_1")), float(fields.pop("a")),
-                                    float(fields.pop("dk")))
-        else:
-            raise ValueError(f"unknown filter family {family!r}")
+        spec = cls(*(_field_type(f)(pairs.pop(f.name)) for f in fields(cls)))
     except KeyError as missing:
         raise ValueError(f"family {family!r} block is missing {missing}") from None
-    if isinstance(spec, CosineTerminated) and "k_2" in fields:
-        stated = float(fields.pop("k_2"))
-        derived = k2_of(spec)
-        if abs(stated - derived) > 1e-9 * max(1.0, abs(derived)):
-            raise ValueError(
-                f"inconsistent k_2: stated {stated!r}, derived {derived!r}"
-            )
-    fields.pop("x_o", None)  # calibration metadata, not a spec parameter
-    if fields:
-        raise ValueError(f"unrecognized keys in spec block: {sorted(fields)}")
+    for key, derived in spec._derived().items():
+        if key in pairs:
+            stated = float(pairs.pop(key))
+            if abs(stated - derived) > 1e-9 * max(1.0, abs(derived)):
+                raise ValueError(
+                    f"inconsistent {key}: stated {stated!r}, derived {derived!r}"
+                )
+    pairs.pop("x_o", None)  # calibration metadata, not a spec parameter
+    if pairs:
+        raise ValueError(f"unrecognized keys in spec block: {sorted(pairs)}")
     return spec

@@ -17,7 +17,7 @@ from scipy.integrate import simpson
 from scipy.optimize import brentq
 from scipy.special import exp1, sici
 
-from ._gauss import converged, exp_weighted, gauss_legendre
+from ._gauss import MAX_PANELS, converged, exp_weighted, gauss_legendre
 from .filters import (
     SINC_HALF_CROSSING,
     BrickWall,
@@ -26,6 +26,7 @@ from .filters import (
     GaussHermite,
     RunningAverage,
     breakpoints,
+    ds_cutoff,
     gh_kernel_samples,
     half_transfer_point,
     k2_of,
@@ -138,14 +139,6 @@ def mse_numeric(line: LorentzianLine | Sequence[LorentzianLine],
     return _mse_integrals(list(line), spec)
 
 
-def _x_o_of(spec: FilterSpec) -> float | None:
-    if isinstance(spec, RunningAverage):
-        return spec.x_o
-    if isinstance(spec, BrickWall):
-        return SINC_HALF_CROSSING / spec.k_o
-    return None
-
-
 def mse_with_noise(line: LorentzianLine, spec: FilterSpec, noise_density: float,
                    k_max: float | None = None) -> MseBreakdown:
     """Split MSE into information and additive white-noise contributions.
@@ -161,9 +154,8 @@ def mse_with_noise(line: LorentzianLine, spec: FilterSpec, noise_density: float,
         raise ValueError(f"noise_density must be >= 0, got {noise_density}")
     if k_max is None:
         end = support_cutoff(spec)
-        if end is None:
-            assert isinstance(spec, RunningAverage)
-            end = np.pi / spec.x_o
+        if end is None:  # the running average: its first transfer zero
+            end = np.pi / ds_cutoff(spec)
         # wide enough that the information term converges as in mse_numeric
         k_max = max(3.0 * end, _k_max_for(line, spec))
     if not np.isfinite(k_max) and noise_density > 0:
@@ -174,13 +166,10 @@ def mse_with_noise(line: LorentzianLine, spec: FilterSpec, noise_density: float,
         noise = 2.0 * noise_density * float(_stop_band_integrals(spec, [0.0], [k_max], 1.0)[0])
     if np.isnan(info) or np.isnan(noise):
         raise QuadratureError(f"stop-band quadrature up to k_max={k_max:g} did not converge")
-    x_o = _x_o_of(spec)
+    closed_form = _MSE_CLOSED_FORMS.get(type(spec))
+    x_o = ds_cutoff(spec) if closed_form else None
     eta = EtaRatio.from_line(line, x_o) if x_o else EtaRatio(line.gamma)
-    ref = None
-    if isinstance(spec, RunningAverage):
-        ref = mse_ra_analytic(eta, x_o) * line.area**2
-    elif isinstance(spec, BrickWall):
-        ref = mse_bw_analytic(eta, x_o) * line.area**2
+    ref = closed_form(eta, x_o) * line.area**2 if closed_form else None
     return MseBreakdown(total=info + noise, info_term=info, noise_term=noise,
                         eta=eta, analytic_ref=ref)
 
@@ -201,6 +190,11 @@ def mse_ra_analytic(eta, x_o: float = 1.0) -> float:
     bracket = (0.5 / e - 2.0 * np.arctan(0.5 / e)
                - 0.5 * e * np.log1p(1.0 / e**2) + np.arctan(1.0 / e))
     return bracket / (np.pi * x_o)
+
+
+# Families with a closed-form MSE for a unit-area line, as a function of
+# (eta, x_o) with x_o the family's ds cutoff.
+_MSE_CLOSED_FORMS = {RunningAverage: mse_ra_analytic, BrickWall: mse_bw_analytic}
 
 
 def mse_ratio_ra_bw(eta) -> float:
@@ -227,11 +221,20 @@ def crossover_eta(which: str = "upper") -> EtaRatio:
     return EtaRatio(float(root))
 
 
-def _integral(g, end: float, width: float, cuts=()) -> float:
-    """integral_0^end g on the Gauss-Legendre core; a missed estimate raises."""
+def _integral(g, end: float, width: float, cuts=(), var: str = "k",
+              unit: float = 1.0) -> float:
+    """integral_0^end g on the Gauss-Legendre core; a miss raises QuadratureError.
+
+    The message names which limit was hit and gives the range of ``var`` in
+    the spec's own units, ``unit`` being one step of g's argument in them.
+    """
     values, errors = exp_weighted(g, [0.0], [end], cuts, width, np.inf)
     if not converged(values, errors)[0]:
-        raise QuadratureError(f"quadrature on [0, {end:g}] did not converge")
+        budget = np.isnan(values[0]) and np.isinf(errors[0])  # see exp_weighted
+        limit = (f"it needs more than the {MAX_PANELS} panels allowed" if budget
+                 else "the error estimate missed the tolerance")
+        raise QuadratureError(
+            f"quadrature over {var} in [0, {end * unit:g}] did not converge: {limit}")
     return float(values[0])
 
 
@@ -243,7 +246,7 @@ def _sinc2_tail(u: float) -> float:
 
 def _sinc2_to_inf() -> float:
     u = 40.0
-    return _integral(lambda t: np.sinc(t / np.pi) ** 2, u, 1.0) + _sinc2_tail(u)
+    return _integral(lambda t: np.sinc(t / np.pi) ** 2, u, 1.0, var="t") + _sinc2_tail(u)
 
 
 def _ct_sin_terms(spec: CosineTerminated):
@@ -336,9 +339,10 @@ def noise_gain(spec: FilterSpec) -> NoiseReport:
         unit = CosineTerminated(spec.k_1 / spec.dk, spec.a, 1.0)
         k2 = k2_of(unit)
         rs = spec.dk * _integral(lambda k: transfer(unit, k) ** 2, k2, _panel_width(unit),
-                                 breakpoints(unit)) / np.pi
+                                 breakpoints(unit), unit=spec.dk) / np.pi
         split = 12.0 + 1.0 / unit.dk
-        head = _integral(lambda x: kernel(unit, x) ** 2, split, 1.0 / k2)
+        head = _integral(lambda x: kernel(unit, x) ** 2, split, 1.0 / k2, var="x",
+                         unit=1.0 / spec.dk)
         ds = spec.dk * 2.0 * (head + _ct_ds_tail(unit, split))
     else:
         raise TypeError(f"unknown filter spec {spec!r}")

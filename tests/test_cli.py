@@ -143,6 +143,13 @@ class TestNoiseCommand:
         assert main(["noise", "--dk", "0.0001", "--no-timestamp"]) == EXIT_NUMERIC
         assert "did not converge" in capsys.readouterr().err
 
+    def test_panel_budget_message_names_the_limit(self, capsys):
+        # the range is the spec's own [0, k_2], k_2 = 1.8955 at x_o = 1
+        assert main(["noise", "--dk", "0.0001", "--no-timestamp"]) == EXIT_NUMERIC
+        assert capsys.readouterr().err == (
+            "numeric failure: quadrature over k in [0, 1.89552] did not converge: "
+            "it needs more than the 65536 panels allowed\n")
+
     def test_grid_n_validated_with_the_rest(self, capsys, monkeypatch):
         # every violation is listed, and nothing is calibrated before that
         def no_calibration(*args, **kwargs):
@@ -263,16 +270,3 @@ class TestConfigFile:
         cfg = tmp_path / "cfg.txt"
         cfg.write_text("family gh\n")
         assert main(["calibrate", "--config", str(cfg)]) == EXIT_IO
-
-
-class TestBenchCommand:
-    def test_records_speedup(self, capsys):
-        rc = main(["bench", "--bench-points", "2000", "--gh-sample", "5",
-                   "--repeats", "1", "--no-timestamp"])
-        assert rc == EXIT_OK
-        out = capsys.readouterr().out
-        assert "# speedup_ct_vs_gh_uncached=" in out
-        header, body = _rows(out)
-        assert [r[0] for r in body] == ["ct_closed_form",
-                                       "gh_m100_uncached_quadrature",
-                                       "gh_m100_cached"]

@@ -36,6 +36,7 @@ from specfilt.filters import (
     support_cutoff,
     transfer,
 )
+from specfilt.metrics import noise_gain
 
 
 class TestHalfHeightConstant:
@@ -243,6 +244,26 @@ class TestStructure:
         spec = calibrate("ct", 1.0, a=5.0, dk=0.5).spec
         assert breakpoints(spec) == (spec.k_1, k2_of(spec))
         assert breakpoints(BrickWall(1.1)) == (1.1,)
+
+
+class TestNotASpec:
+    """Every function that takes a spec rejects anything else with TypeError."""
+
+    @pytest.mark.parametrize("call", [
+        lambda s: transfer(s, 0.5),
+        lambda s: kernel(s, 0.5),
+        support_cutoff,
+        breakpoints,
+        half_transfer_point,
+        ds_cutoff,
+        serialize_spec,
+        noise_gain,
+    ], ids=["transfer", "kernel", "support_cutoff", "breakpoints",
+            "half_transfer_point", "ds_cutoff", "serialize_spec", "noise_gain"])
+    @pytest.mark.parametrize("spec", [object(), None, 1.0, "ra"])
+    def test_type_error(self, call, spec):
+        with pytest.raises(TypeError, match="unknown filter spec"):
+            call(spec)
 
 
 class TestSpecialCases:

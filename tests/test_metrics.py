@@ -15,6 +15,7 @@ from scipy.integrate import quad
 from scipy.special import gammaincc
 
 from specfilt import metrics
+from specfilt._gauss import exp_weighted
 from specfilt.engine import dft_forward
 from specfilt.filters import (
     BrickWall,
@@ -23,6 +24,7 @@ from specfilt.filters import (
     RunningAverage,
     calibrate,
     half_transfer_point,
+    kernel,
     transfer,
 )
 from specfilt.lineshapes import (
@@ -304,6 +306,26 @@ class TestNoiseGain:
             with pytest.raises(QuadratureError):
                 noise_gain(ct)
 
+    def test_failure_names_the_limit(self, monkeypatch):
+        """A miss says whether the panel budget or the estimate failed, in the spec's units."""
+        budget = np.isinf(exp_weighted(np.ones_like, [0.0], [1e9], (), 1.0, np.inf)[1][0])
+        missed = np.isnan(exp_weighted(lambda k: np.where(k > 0.5, np.nan, 1.0),
+                                       [0.0], [2.0], (), 1.0, np.inf)[1][0])
+        assert budget and missed
+        # k_1/dk = 2e4: the rs route over k in [0, k_2] needs too many panels
+        with pytest.raises(QuadratureError, match=r"over k in \[0, 2\.00006\] did not "
+                           r"converge: it needs more than the 65536 panels allowed"):
+            noise_gain(CosineTerminated(2.0, 5.0, 1e-4))
+        # k_1/dk = 6000: the ds head over x in [0, (12 + 1)/dk] runs out first
+        with pytest.raises(QuadratureError, match=r"over x in \[0, 6\.5\] did not "
+                           r"converge: it needs more than"):
+            noise_gain(CosineTerminated(12000.0, 5.0, 2.0))
+        real_kernel = metrics.kernel
+        monkeypatch.setattr(metrics, "kernel", lambda spec, x: np.where(
+            np.asarray(x) > 5.0, np.nan, real_kernel(spec, x)))
+        with pytest.raises(QuadratureError, match="the error estimate missed the tolerance"):
+            noise_gain(CosineTerminated(1.0, 5.0, 0.5))
+
 
 # ds_value and rs_value of CosineTerminated(r, a, 1) for r = k_1/dk in
 # _CT_RATIOS, captured from the adaptive-quadrature routes (scipy QUADPACK,
@@ -470,3 +492,77 @@ class TestGibbsResidual:
         peaks = [gibbs_residual(LorentzianLine(g, area=np.pi * g), spec, x
                                 ).peak_amplitude for g in (1.0, 2.0)]
         assert peaks[0] / peaks[1] == pytest.approx(np.exp(k_c), rel=0.05)
+
+
+# free parameter of each family and the power of x_o that makes it scale-free
+_FREE_PARAMETER = {"ra": ("x_o", -1), "bw": ("k_o", 1), "gh": ("k_s", 1), "ct": ("k_1", 1)}
+_KERNEL_U = np.array([0.0, 0.4, 1.0, 2.5])  # kernel abscissae in units of x_o
+
+
+def _dimensionless(family: str, x_o: float, m: int | None = None,
+                   shape: bool = True) -> dict:
+    """Results made dimensionless with x_o: at fixed eta they cannot depend on it.
+
+    ct has a = 5 and dk = 0.5/x_o; the MSE is taken at eta = gamma/x_o = 1.
+    """
+    params = {"gh": {"m": m}, "ct": {"a": 5.0, "dk": 0.5 / x_o}}.get(family, {})
+    spec = calibrate(family, x_o, **params).spec
+    name, power = _FREE_PARAMETER[family]
+    out = {"parameter": getattr(spec, name) * x_o**power,
+           "mse": mse_numeric(LorentzianLine(x_o), spec) * x_o}
+    if shape:
+        out["gain"] = noise_gain(spec).rms_gain * np.sqrt(x_o)
+        out["kernel"] = x_o * np.asarray(kernel(spec, _KERNEL_U * x_o))
+    return out
+
+
+_SCALE_CASES = [("ra", None, True), ("bw", None, True), ("ct", None, True),
+                ("gh", 1, False), ("gh", 20, False), ("gh", 100, False),
+                ("gh", 1, True), ("gh", 20, True)]
+
+
+@pytest.fixture(scope="module")
+def at_unit_scale():
+    """x_o = 1 values of every case, computed before any timed example."""
+    return {case: _dimensionless(case[0], 1.0, *case[1:]) for case in _SCALE_CASES}
+
+
+def _assert_scale_free(ref: dict, family: str, x_o: float, m: int | None = None,
+                       shape: bool = True) -> None:
+    ref = ref[(family, m, shape)]
+    for key, value in _dimensionless(family, x_o, m, shape).items():
+        if key == "kernel":  # relative to b(0), since b crosses zero
+            assert np.max(np.abs(value - ref[key])) <= 1e-10 * abs(ref[key][0]), key
+        else:
+            assert value == pytest.approx(ref[key], rel=1e-10, abs=0.0), key
+
+
+class TestScaleCovariance:
+    """Results do not depend on the physical scale x_o (ROADMAP item 4).
+
+    x_o is drawn log-uniform; each dimensionless result must equal its
+    x_o = 1 value to 1e-10 relative, and each example must take under 1 s.
+    """
+
+    @pytest.mark.parametrize("family", ["ra", "bw", "ct"])
+    @given(st.floats(min_value=-3.0, max_value=3.0))
+    @settings(max_examples=15, deadline=1000)
+    def test_closed_form_families(self, at_unit_scale, family, log10_x_o):
+        _assert_scale_free(at_unit_scale, family, 10.0**log10_x_o)
+
+    @pytest.mark.parametrize("m", [1, 20, 100])
+    @given(st.floats(min_value=-3.0, max_value=3.0))
+    @settings(max_examples=15, deadline=1000)
+    def test_gh_calibration_and_mse(self, at_unit_scale, m, log10_x_o):
+        _assert_scale_free(at_unit_scale, "gh", 10.0**log10_x_o, m, shape=False)
+
+    # The GH kernel and the DS noise route read a spline table whose grid is
+    # laid out in physical units; outside x_o in [0.3, 3], or at m = 100,
+    # building it takes longer than an example may (m = 20 on a 2-core Xeon
+    # VM: 1.1 s at x_o = 10, 1.3 s at x_o = 0.05).  The closed-form GH kernel
+    # (ROADMAP item 1) replaces the table.
+    @pytest.mark.parametrize("m", [1, 20])
+    @given(st.floats(min_value=np.log10(0.3), max_value=np.log10(3.0)))
+    @settings(max_examples=10, deadline=1000)
+    def test_gh_kernel_and_gain(self, at_unit_scale, m, log10_x_o):
+        _assert_scale_free(at_unit_scale, "gh", 10.0**log10_x_o, m)
