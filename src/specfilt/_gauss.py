@@ -1,8 +1,8 @@
 """Gauss-Legendre core: cached nodes and one batched composite rule.
 
 Every Gauss-Legendre node set in specfilt comes from ``gauss_legendre``,
-which fills its cache on first use, never at import, with a tridiagonal
-eigensolver rather than a dense one.  ``exp_weighted`` integrates
+which fills its cache on first use, never at import; only the 32- and
+64-node rules are in use.  ``exp_weighted`` integrates
 exp(-r_j k) g(k) over [0, end_j] for a whole batch of rates r_j at once: g
 is evaluated once on panel nodes shared by every rate of a panel level, so
 only the exponential factor grows with the batch.
@@ -14,8 +14,7 @@ import functools
 from typing import Callable
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss, legder, legval
-from scipy.linalg.lapack import dsterf
+from numpy.polynomial.legendre import leggauss
 
 __all__ = ["gauss_legendre", "exp_weighted", "converged"]
 
@@ -35,42 +34,14 @@ _BLOCK = 1 << 18
 MAX_PANELS = 1 << 16
 
 
-def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
-    # numpy's leggauss step for step, except that the eigenvalues of the
-    # symmetric tridiagonal companion matrix (zero diagonal, off-diagonal e)
-    # come from LAPACK dsterf instead of the dense eigvalsh.  The dense
-    # solver's Householder reduction leaves a tridiagonal matrix unchanged
-    # and then calls dsterf on it, so the results are the same bits, in
-    # O(n^2) single-threaded work instead of O(n^3) multi-threaded work
-    # (n = 2000: about 0.1 s instead of 0.6-1.5 s on a 2-core Xeon).
-    if n < 2:
-        return leggauss(n)
-    c = np.array([0] * n + [1])
-    scl = 1.0 / np.sqrt(2 * np.arange(n) + 1)
-    x, info = dsterf(np.zeros(n), np.arange(1, n) * scl[:n - 1] * scl[1:n])
-    if info != 0:
-        raise np.linalg.LinAlgError(f"dsterf failed for the {n}-point rule (info={info})")
-    dy = legval(x, c)
-    df = legval(x, legder(c))
-    x -= dy / df
-    fm = legval(x, c[1:])
-    fm /= np.abs(fm).max()
-    df /= np.abs(df).max()
-    w = 1 / (fm * df)
-    w = (w + w[::-1]) / 2
-    x = (x - x[::-1]) / 2
-    w *= 2.0 / w.sum()
-    return x, w
-
-
 @functools.cache
 def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the n-point rule on [-1, 1], computed once per n.
 
-    The arrays equal numpy's ``leggauss(n)`` bit for bit, are shared by
-    every caller and are therefore read-only.
+    The arrays are numpy's ``leggauss(n)``, shared by every caller and
+    therefore read-only.
     """
-    nodes, weights = _leggauss(n)
+    nodes, weights = leggauss(n)
     nodes.flags.writeable = False
     weights.flags.writeable = False
     return nodes, weights

@@ -408,8 +408,9 @@ def cmd_apply(cfg: RunConfig, command: str) -> int:
     m_total = spectrum.grid.size
     k_scale = 2.0 * np.pi / (m_total * dx)
     # the report always comes from the RS route; on --path rs its output is
-    # the filtered spectrum too
-    filtered, gibbs = reconstruct_with_report(spectrum, spec, k_scale=k_scale)
+    # the filtered spectrum too.  noise_cutoff reads the same forward DFT.
+    coeffs = dft_forward(spectrum)
+    filtered, gibbs = reconstruct_with_report(spectrum, spec, k_scale=k_scale, coeffs=coeffs)
     if path == "ds":
         filtered = apply_filter_ds(spectrum, spec, dx=dx)
     x = x_start + dx * np.arange(m_total)
@@ -423,7 +424,6 @@ def cmd_apply(cfg: RunConfig, command: str) -> int:
 
     gain = noise_gain(spec)
     grid_gain = float(np.sqrt(np.sum(sampled_kernel(spec, spectrum.grid, dx=dx) ** 2)))
-    coeffs = dft_forward(spectrum)
     cutoff = noise_cutoff(coeffs) if spectrum.grid.size >= 129 else None
     period_x = gibbs.period_estimate * m_total * dx / (2.0 * np.pi)
     report_lines = [

@@ -10,6 +10,7 @@ truncation.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
@@ -149,11 +150,15 @@ def sampled_kernel(spec: FilterSpec, grid: SampleGrid, dx: float | None = None,
     return w * dx / total
 
 
-def apply_filter_rs(s: Spectrum, spec: FilterSpec, k_scale: float = 1.0) -> Spectrum:
-    """Multiply coefficients by B(k_scale * kappa) and transform back."""
+def apply_filter_rs(s: Spectrum, spec: FilterSpec, k_scale: float = 1.0,
+                    coeffs: RsCoefficients | None = None) -> Spectrum:
+    """Multiply coefficients by B(k_scale * kappa) and transform back.
+
+    coeffs, when given, is dft_forward(s), already taken by the caller.
+    """
     if not k_scale > 0:
         raise ValueError(f"k_scale must be positive, got {k_scale}")
-    c = dft_forward(s)
+    c = dft_forward(s) if coeffs is None else coeffs
     shaped = c.coeffs * transfer(spec, k_scale * c.grid.indices)
     return dft_inverse(RsCoefficients(s.grid, shaped))
 
@@ -203,13 +208,21 @@ def noise_transmission_empirical(spec: FilterSpec | Sequence[FilterSpec],
     m = grid.size
     resps = [np.fft.rfft(np.fft.ifftshift(w)) for w in weights]
     gains2 = np.empty((len(specs), trials))
+    # One set of block buffers for the whole run: a fresh megabyte-sized
+    # array per block would be mapped, faulted in and unmapped every time.
+    draws, filt = np.empty((_MC_BLOCK, m)), np.empty((_MC_BLOCK, m))
+    eps_k = np.empty((_MC_BLOCK, m // 2 + 1), dtype=complex)
+    shaped = np.empty_like(eps_k)
     for start in range(0, trials, _MC_BLOCK):
-        stop = min(start + _MC_BLOCK, trials)
-        eps_k = np.fft.rfft(np.stack([noise.sequence(t, m) for t in range(start, stop)]),
-                            axis=1)
+        rows = min(_MC_BLOCK, trials - start)
+        for i in range(rows):
+            draws[i] = noise.sequence(start + i, m)
+        np.fft.rfft(draws[:rows], axis=1, out=eps_k[:rows])
         for g2, resp in zip(gains2, resps):
-            filt = np.fft.irfft(eps_k * resp, n=m, axis=1)
-            g2[start:stop] = np.mean(filt**2, axis=1) / noise.sigma**2
+            np.multiply(eps_k[:rows], resp, out=shaped[:rows])
+            np.fft.irfft(shaped[:rows], n=m, axis=1, out=filt[:rows])
+            np.square(filt[:rows], out=filt[:rows])
+            g2[start:start + rows] = np.mean(filt[:rows], axis=1) / noise.sigma**2
     results = []
     for w, g2 in zip(weights, gains2):
         measured = float(np.sqrt(np.mean(g2)))
@@ -220,12 +233,16 @@ def noise_transmission_empirical(spec: FilterSpec | Sequence[FilterSpec],
     return results[0] if single else results
 
 
-def reconstruct_with_report(s: Spectrum, spec: FilterSpec,
-                            k_scale: float = 1.0) -> tuple[Spectrum, "GibbsReport"]:
-    """Filter along the RS path and report the residual oscillation."""
+def reconstruct_with_report(s: Spectrum, spec: FilterSpec, k_scale: float = 1.0,
+                            coeffs: RsCoefficients | None = None
+                            ) -> tuple[Spectrum, "GibbsReport"]:
+    """Filter along the RS path and report the residual oscillation.
+
+    coeffs, when given, is dft_forward(s), already taken by the caller.
+    """
     from .metrics import GibbsReport, estimate_period
 
-    filtered = apply_filter_rs(s, spec, k_scale=k_scale)
+    filtered = apply_filter_rs(s, spec, k_scale=k_scale, coeffs=coeffs)
     residual = filtered.values - s.values
     theta = s.grid.theta
     peak = float(np.max(np.abs(residual)))
@@ -242,30 +259,26 @@ def reconstruct_with_report(s: Spectrum, spec: FilterSpec,
 def read_spectrum(path: str) -> tuple[Spectrum, float, float]:
     """Load a two-column x/f text file; returns (spectrum, x_start, dx).
 
-    Lines starting with '#' are comments.  The grid must hold an odd number of
+    Text after '#' is a comment.  The grid must hold an odd number of
     points (2N+1, N >= 1) with uniform spacing to 1e-9 relative.
     """
-    xs: list[float] = []
-    fs: list[float] = []
     with open(path) as fh:
-        for ln, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{ln}: expected two columns, got {len(parts)}")
-            try:
-                xs.append(float(parts[0]))
-                fs.append(float(parts[1]))
-            except ValueError:
-                raise ValueError(f"{path}:{ln}: non-numeric data {line!r}") from None
-    count = len(xs)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # a file without data warns
+                data = np.loadtxt(fh, ndmin=2)
+        except (ValueError, UserWarning):
+            data = None
+        if data is None or data.shape[1] != 2:
+            # parse again, for the message naming the bad line
+            fh.seek(0)
+            data = _read_rows(path, fh)
+    count = len(data)
     if count < 3 or count % 2 == 0:
         raise ValueError(
             f"{path}: need an odd number of points (2N+1, N >= 1), got {count}"
         )
-    x = np.asarray(xs)
+    x, vals = np.ascontiguousarray(data.T)
     steps = np.diff(x)
     dx = float(np.mean(steps))
     if dx <= 0:
@@ -276,11 +289,30 @@ def read_spectrum(path: str) -> tuple[Spectrum, float, float]:
             f"{path}: non-uniform grid: step {worst} is {steps[worst]!r} "
             f"but the mean spacing is {dx!r} (tolerance 1e-9 relative)"
         )
-    vals = np.asarray(fs)
     if not np.all(np.isfinite(vals)):
         raise ValueError(f"{path}: non-finite sample values")
     grid = SampleGrid((count - 1) // 2)
     return Spectrum(grid, vals), float(x[0]), dx
+
+
+def _read_rows(path: str, fh) -> np.ndarray:
+    """The (x, f) rows of an open spectrum file, parsed line by line.
+
+    Slow, but its errors name the first bad line.
+    """
+    rows = []
+    for ln, raw in enumerate(fh, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise ValueError(f"{path}:{ln}: expected two columns, got {len(parts)}")
+        try:
+            rows.append((float(parts[0]), float(parts[1])))
+        except ValueError:
+            raise ValueError(f"{path}:{ln}: non-numeric data {line!r}") from None
+    return np.array(rows, dtype=float).reshape(-1, 2)
 
 
 def write_spectrum(path: str, x: np.ndarray, values: np.ndarray,

@@ -11,17 +11,14 @@ a requested direct-space half-width x_o.
 
 from __future__ import annotations
 
-import threading
+import functools
+import math
 from dataclasses import dataclass, fields
 from typing import Callable, ClassVar, Union
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
-from scipy.special import gammaincc, gammainccinv, gammaln
-
-from ._gauss import gauss_legendre
+from scipy.special import gammaincc, gammainccinv
 
 __all__ = [
     "SINC_HALF_CROSSING",
@@ -34,7 +31,6 @@ __all__ = [
     "CalibrationError",
     "transfer",
     "kernel",
-    "gh_kernel_samples",
     "gh_kernel_quadrature",
     "calibrate",
     "special_case",
@@ -167,8 +163,9 @@ class GaussHermite(_Family):
     """Gaussian times a partial exponential series in u = (k/k_s)^2.
 
     Order m keeps the m+1 terms n = 0..m: B(k) = exp(-u) * sum u^n/n!, which
-    is the regularized upper incomplete gamma Q(m+1, u), and the kernel
-    carries the Hermite polynomials H_0..H_2m.  Counting the order by the top
+    is the regularized upper incomplete gamma Q(m+1, u), and the kernel is
+    b(x) = k_s/(2 sqrt(pi)) exp(-y^2) sum_{n<=m} (-1)^n H_2n(y) / (4^n n!)
+    with y = k_s x / 2, evaluated in that closed form.  Counting the order by the top
     power m rather than by the number of terms is this repository's own
     convention; the paper's abstract does not fix one.
     """
@@ -182,12 +179,13 @@ class GaussHermite(_Family):
             raise ValueError(f"gauss-hermite requires integer order m >= 1, got {self.m}")
         if not self.k_s > 0:
             raise ValueError(f"gauss-hermite requires k_s > 0, got {self.k_s}")
+        object.__setattr__(self, "m", int(self.m))  # 20.0 serializes as m=20
 
     def _transfer(self, k: np.ndarray) -> np.ndarray:
         return gammaincc(self.m + 1, (k / self.k_s) ** 2)
 
     def _kernel(self, x: np.ndarray) -> np.ndarray:
-        return _gh_table(self)(x)
+        return _gh_table(self, x)
 
     def _support_cutoff(self) -> float:
         # B(k) < 1e-15 beyond it
@@ -196,16 +194,12 @@ class GaussHermite(_Family):
     def _half_transfer_point(self) -> float:
         return self.k_s * float(np.sqrt(gammainccinv(self.m + 1, 0.5)))
 
-    def _residual(self, x_o: float) -> float:
-        # by quadrature, so that calibrating never builds a kernel table
-        return abs(gh_kernel_quadrature(self, x_o) / gh_kernel_quadrature(self, 0.0) - 0.5)
-
     @classmethod
     def _calibrated(cls, x_o: float, lo: float, hi: float, *, m: int | None = None,
                     **_) -> GaussHermite:
         if m is None:
             raise ValueError("gh calibration requires the order m")
-        return cls(int(m), _first_root(_gh_half_height_mismatch(int(m), x_o), lo, hi))
+        return cls(int(m), 2.0 * _gh_half_height_y(int(m)) / x_o)
 
 
 @dataclass(frozen=True)
@@ -321,80 +315,80 @@ def half_transfer_point(spec: FilterSpec) -> float:
     return _checked(spec)._half_transfer_point()
 
 
-class _GhKernelTable:
-    """Dense-grid samples of a Gauss-Hermite kernel with spline interpolation.
+def _gh_weights(m: int) -> tuple[list[float], list[float], list[float]]:
+    # phi_j = pi^(1/4) psi_j, the normalized Hermite functions scaled to
+    # phi_0 = exp(-y^2/2), obey phi_j = up_j y phi_{j-1} - down_j phi_{j-2};
+    # the kernel series weighs phi_2n with (-1)^n c_n, c_n = c_{n-1}
+    # sqrt((2n-1)/(2n)) <= 1, so no weight grows and no factorial appears.
+    up = [0.0] + [math.sqrt(2.0 / j) for j in range(1, 2 * m + 1)]
+    down = [0.0] + [math.sqrt((j - 1) / j) for j in range(1, 2 * m + 1)]
+    c = [1.0]
+    for n in range(1, m + 1):
+        c.append(-c[-1] * math.sqrt((2 * n - 1) / (2 * n)))
+    return up, down, c
 
-    The kernel has no closed form; it is the inverse cosine transform of the
-    transfer, evaluated here by composite Gauss-Legendre panels on [0, K] with
-    K chosen so B(K) < 1e-15, vectorized over the x grid.
+
+def _gh_sum(y, m: int):
+    """exp(-y^2/2) sum_{n<=m} (-1)^n c_n phi_2n(y) for a float or an array y.
+
+    Equals exp(-y^2) sum_{n<=m} (-1)^n H_2n(y) / (4^n n!), so the GH kernel is
+    b(x) = k_s / (2 sqrt(pi)) * _gh_sum(k_s x / 2, m).  Its modulus is below
+    (m + 1) exp(-y^2/2), since |phi_j| <= 1 and c_n <= 1, while
+    _gh_sum(0, m) = sum c_n^2 >= 1.  A float runs the recurrence in Python
+    floats, an array in numpy.
     """
-
-    def __init__(self, spec: GaussHermite):
-        self.spec = spec
-        k_half = half_transfer_point(spec)
-        cut = support_cutoff(spec)
-        assert cut is not None
-        self.k_cut = cut
-        step = 0.01 / max(1.0, k_half)
-        per_block = max(64, int(round(max(4.0, 8.0 / k_half) / step)))
-        b0 = abs(self._cos_transform(np.array([0.0]))[0])
-        # extend block by block until the kernel envelope is negligible
-        blocks = 1
-        while blocks < 4000:
-            seg = np.arange(blocks * per_block, (blocks + 1) * per_block) * step
-            if np.max(np.abs(self._cos_transform(seg))) < 1e-13 * b0:
-                break
-            blocks += 1
-        grid = np.arange(blocks * per_block) * step
-        self.x = grid
-        self.x_end = float(grid[-1])
-        self.values = self._cos_transform(grid)
-        self.b0 = float(self.values[0])
-        # clamped first derivative at 0 because the kernel is even
-        self._spline = CubicSpline(grid, self.values, bc_type=((1, 0.0), "not-a-knot"))
-
-    def _cos_transform(self, xs: np.ndarray) -> np.ndarray:
-        # panel count keeps >= ~10 nodes per oscillation of cos(k*x) at x_max
-        x_max = float(xs[-1]) if len(xs) else 1.0
-        panels = max(6, int(self.k_cut * x_max / (2.0 * np.pi) / 5.0) + 1)
-        nodes, wts = gauss_legendre(64)
-        edges = np.linspace(0.0, self.k_cut, panels + 1)
-        out = np.zeros_like(xs)
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            kk = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
-            ww = 0.5 * (hi - lo) * wts
-            bw = gammaincc(self.spec.m + 1, (kk / self.spec.k_s) ** 2) * ww
-            out += np.cos(np.outer(xs, kk)) @ bw
-        return out / np.pi
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        ax = np.abs(x)
-        return np.where(ax <= self.x_end, self._spline(np.minimum(ax, self.x_end)), 0.0)
+    up, down, c = _gh_weights(m)
+    env = math.exp(-0.5 * y * y) if isinstance(y, float) else np.exp(-0.5 * y * y)
+    prev, cur = 0.0 * y, env
+    total = env
+    for n in range(1, m + 1):
+        j = 2 * n
+        prev, cur = cur, up[j - 1] * y * cur - down[j - 1] * prev
+        prev, cur = cur, up[j] * y * cur - down[j] * prev
+        total = total + c[n] * cur
+    return env * total
 
 
-_GH_TABLES: dict[GaussHermite, _GhKernelTable] = {}
-_GH_LOCK = threading.Lock()
+def _gh_y_cut(m: int) -> float:
+    # past it |b(x)/b(0)| <= (m + 1) exp(-y^2/2) < 1e-18
+    return math.sqrt(2.0 * math.log((m + 1) * 1e18))
 
 
-def _gh_table(spec: GaussHermite) -> _GhKernelTable:
-    table = _GH_TABLES.get(spec)
-    if table is None:
-        with _GH_LOCK:
-            table = _GH_TABLES.get(spec)
-            if table is None:
-                table = _GhKernelTable(spec)
-                _GH_TABLES[spec] = table
-    return table
+def _gh_kernel(spec: GaussHermite, x: np.ndarray) -> np.ndarray:
+    """The GH kernel in closed form, exactly zero where |y| = |k_s x|/2 > _gh_y_cut."""
+    y = 0.5 * spec.k_s * np.abs(x)
+    near = y <= _gh_y_cut(spec.m)
+    out = np.zeros(y.shape)
+    out[near] = spec.k_s / (2.0 * math.sqrt(math.pi)) * _gh_sum(y[near], spec.m)
+    return out
 
 
-def gh_kernel_samples(spec: GaussHermite) -> tuple[np.ndarray, np.ndarray]:
-    """Dense cached samples (x >= 0 grid, kernel values) backing kernel(GH)."""
-    table = _gh_table(spec)
-    return table.x, table.values
+# The name under which perfbench/spans.py traces the GH kernel (as the layer
+# filters.gh_kernel_table, once a table build); a benchmark change renames it.
+_gh_table = _gh_kernel
+
+
+@functools.cache
+def _gh_half_height_y(m: int) -> float:
+    """The y = k_s x_o / 2 where the order-m GH kernel falls to half its centre.
+
+    b(x_o)/b(0) depends on y alone, so every x_o shares one root: the first
+    sign change of the ratio - 1/2 on a log-spaced scan of calibrate's k_s
+    bracket [1e-6, 1e3] / x_o, polished by brentq on the scalar recurrence.
+    """
+    s0 = _gh_sum(0.0, m)
+    ys = np.geomspace(0.5e-6, 0.5e3, 240)
+    # the ratio is 1 - O(m y^2) at the first point and exactly 0 at the last
+    i = int(np.argmax(_gh_sum(ys, m) <= 0.5 * s0))
+    # rtol alone ends the search, at brentq's floor of 4 ulp
+    return float(brentq(lambda y: _gh_sum(y, m) / s0 - 0.5, ys[i - 1], ys[i],
+                        xtol=1e-300, rtol=8.9e-16))
 
 
 def gh_kernel_quadrature(spec: GaussHermite, x: float) -> float:
-    """Uncached Gauss-Hermite kernel value by adaptive quadrature (slow path)."""
+    """GH kernel value by adaptive quadrature of the transfer (independent slow route)."""
+    from scipy.integrate import quad  # only this route needs it; keeps imports light
+
     cut = support_cutoff(spec)
     val, _ = quad(
         lambda k: gammaincc(spec.m + 1, (k / spec.k_s) ** 2) * np.cos(k * x),
@@ -432,26 +426,6 @@ def _first_root(f: Callable[[float], float], lo: float, hi: float, n: int = 240)
 def _half_height_mismatch(spec: FilterSpec, x_o: float) -> float:
     """b(x_o)/b(0) - 1/2, the residual whose root calibrates a spec."""
     return float(kernel(spec, x_o)) / float(kernel(spec, 0.0)) - 0.5
-
-
-def _gh_half_height_mismatch(m: int, x_o: float) -> Callable[[float], float]:
-    # b(x_o)/b(0) - 1/2 for the GH kernel, via integration by parts:
-    # b(x) = E[sin(kx)]/(pi x) with k = k_s*sqrt(t), t ~ Gamma(m+1), so the
-    # ratio is E[sin(k x_o)] / (x_o E[k]).  Stable for any m, no oscillatory
-    # quadrature involved.
-    npts = 2000
-    t_lo = max(0.0, (m + 1) - 12.0 * np.sqrt(m + 1) - 12.0)
-    t_hi = (m + 1) + 12.0 * np.sqrt(m + 1) + 24.0
-    u, w = gauss_legendre(npts)
-    t = 0.5 * (t_hi - t_lo) * u + 0.5 * (t_hi + t_lo)
-    dens = np.exp(m * np.log(t) - t - gammaln(m + 1)) * (0.5 * (t_hi - t_lo) * w)
-    root_t = np.sqrt(t)
-
-    def f(k_s: float) -> float:
-        return float(np.sum(np.sin(k_s * x_o * root_t) * dens)
-                     / (x_o * k_s * np.sum(root_t * dens))) - 0.5
-
-    return f
 
 
 def calibrate(family: str, x_o: float, *, m: int | None = None,

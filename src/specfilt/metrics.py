@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.integrate import simpson
 from scipy.optimize import brentq
 from scipy.special import exp1, sici
 
@@ -25,9 +24,9 @@ from .filters import (
     FilterSpec,
     GaussHermite,
     RunningAverage,
+    _gh_y_cut,
     breakpoints,
     ds_cutoff,
-    gh_kernel_samples,
     half_transfer_point,
     k2_of,
     kernel,
@@ -313,12 +312,12 @@ def noise_gain(spec: FilterSpec) -> NoiseReport:
     ds_value integrates the squared kernel over x, rs_value the squared
     transfer over k (with the 1/2pi convention); Parseval forces equality, and
     a mismatch beyond 1e-9 relative is raised as a numeric failure.  RA ds and
-    BW rs are closed forms, and GH ds is Simpson's rule on the cached kernel
-    samples.  Every other integral up to a finite end runs on the
-    Gauss-Legendre core of mse_numeric, and a missed error estimate raises
-    QuadratureError.  Past x = 12 + 1/dk (at unit spread) the CT ds tail is a
-    closed form in exponential integrals, so CT ds never evaluates the
-    transfer.
+    BW rs are closed forms.  Every other integral up to a finite end runs on
+    the Gauss-Legendre core of mse_numeric, and a missed error estimate raises
+    QuadratureError; GH ds integrates the closed-form kernel up to the point
+    past which it is exactly zero.  Past x = 12 + 1/dk (at unit spread) the
+    CT ds tail is a closed form in exponential integrals, so CT ds never
+    evaluates the transfer.
     """
     if isinstance(spec, RunningAverage):
         ds = 1.0 / (2.0 * spec.x_o)                      # exact box integral
@@ -329,8 +328,13 @@ def noise_gain(spec: FilterSpec) -> NoiseReport:
     elif isinstance(spec, GaussHermite):
         rs = _integral(lambda k: transfer(spec, k) ** 2, support_cutoff(spec),
                        _panel_width(spec)) / np.pi
-        xs, bs = gh_kernel_samples(spec)
-        ds = 2.0 * float(simpson(bs**2, x=xs))
+        # At k_s = 2 the kernel's argument is y = k_s x / 2 itself, and
+        # b(x) = (k_s / 2) b_2(y), so ds is k_s times the unit integral.  b_2^2
+        # oscillates at most at twice its transfer's support: each panel
+        # spans about four such periods.
+        unit = GaussHermite(spec.m, 2.0)
+        ds = spec.k_s * _integral(lambda y: kernel(unit, y) ** 2, _gh_y_cut(unit.m),
+                                  12.0 / support_cutoff(unit), var="x", unit=2.0 / spec.k_s)
     elif isinstance(spec, CosineTerminated):
         # Both routes run at unit spread: B(k) = B_1(k/dk) and
         # b(x) = dk * b_1(dk * x), so each integral is dk times its unit-spread

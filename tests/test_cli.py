@@ -1,8 +1,14 @@
 """Command-line interface: output shape, config precedence, exit codes."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import specfilt
 from specfilt import metrics
 from specfilt.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_VALIDATION, main
 from specfilt.engine import write_spectrum
@@ -14,6 +20,16 @@ def _rows(text, sep=","):
     header = lines[0].split(sep)
     body = [ln.split(sep) for ln in lines[1:]]
     return header, body
+
+
+def test_import_leaves_out_integrate_and_interpolate():
+    """Starting the command loads neither scipy.integrate nor scipy.interpolate."""
+    src = pathlib.Path(specfilt.__file__).resolve().parents[1]
+    code = ("import sys, specfilt.cli; print(sorted(m for m in sys.modules "
+            "if m.startswith(('scipy.integrate', 'scipy.interpolate'))))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(src)}).stdout
+    assert out.strip() == "[]"
 
 
 class TestCalibrateCommand:
@@ -121,14 +137,16 @@ class TestNoiseCommand:
             assert abs(float(row[-3]) - float(row[-2])) < 5 * float(row[-1])
 
     def test_monte_carlo_columns_frozen(self, capsys):
-        # the Monte Carlo cells replay bit for bit for a given seed and grid
+        # the Monte Carlo cells replay bit for bit for a given seed and grid;
+        # the gh row was frozen from the closed-form kernel, whose mc_predicted
+        # matches weights from a 40-digit kernel to the last printed digit
         main(["noise", "--trials", "200", "--grid-n", "32", "--seed", "3",
               "--no-timestamp"])
         _, body = _rows(capsys.readouterr().out)
         assert [row[-3:] for row in body] == [
             ["0.21277771334932946", "0.21821789023599236", "0.005146639748503154"],
             ["0.25592755380766363", "0.2591222699256251", "0.00756495480859659"],
-            ["0.25339856119933907", "0.2566466600699033", "0.007477490629271211"],
+            ["0.2533985612002848", "0.2566466600708504", "0.007477490629296901"],
             ["0.254257408653098", "0.25748831939408323", "0.0075066903882579595"],
         ]
 

@@ -239,6 +239,28 @@ class TestSpectrumIo:
         with pytest.raises(ValueError, match="finite"):
             read_spectrum(path)
 
+    def test_messages_name_the_line(self, tmp_path):
+        path = tmp_path / "s.dat"
+        for text, message in (("0 1\n1 2 3\n2 3\n", r"s.dat:2: expected two columns, got 3"),
+                              ("# c\n0 1\n1 x\n2 3\n", r"s.dat:3: non-numeric data '1 x'"),
+                              ("# only a comment\n", r"odd number of points .* got 0")):
+            path.write_text(text)
+            with pytest.raises(ValueError, match=message):
+                read_spectrum(str(path))
+
+    def test_values_as_parsed_by_float(self, tmp_path):
+        """Every value is float() of its token, comments and blank lines skipped."""
+        path = tmp_path / "s.dat"
+        rng = np.random.default_rng(7)
+        values = rng.normal(size=11) * 10.0 ** rng.integers(-300, 300, 11)
+        tokens = [repr(v) for v in values.tolist()]
+        tokens[3] = "1_000.5"  # float() syntax the vectorized parse rejects
+        lines = [f"  {i!r} {t}  # note" for i, t in enumerate(tokens)]
+        path.write_text("# header\n\n" + "\n".join(lines) + "\n")
+        s, x0, dx = read_spectrum(str(path))
+        assert s.values.tolist() == [float(t) for t in tokens]
+        assert (x0, dx) == (0.0, 1.0)
+
     def test_missing_file(self):
         with pytest.raises(OSError):
             read_spectrum("/no/such/file.dat")

@@ -7,6 +7,7 @@ kernels, and closed-form special-function identities.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -74,13 +75,12 @@ class TestCalibration:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 64, 129, 2000])
     def test_node_rule_is_numpys(self, n):
-        """The cached rule (tridiagonal eigensolver) equals leggauss bit for bit,
-        so GH calibration, whose 2000-point rule sets k_s to the last digit,
-        prints the values it printed with the dense eigensolver."""
+        """The cached rule is numpy's, and read-only because every caller shares it."""
         nodes, weights = gauss_legendre(n)
         ref_nodes, ref_weights = leggauss(n)
         assert np.array_equal(nodes, ref_nodes)
         assert np.array_equal(weights, ref_weights)
+        assert not nodes.flags.writeable and not weights.flags.writeable
 
     def test_ct_onset(self):
         spec = calibrate("ct", 1.0, a=5.0, dk=0.5).spec
@@ -196,6 +196,27 @@ class TestKernel:
             around = kernel(spec, np.array([c - 1e-7, c, c + 1e-7]))
             assert abs(around[1] - 0.5 * (around[0] + around[2])) < 1e-8
 
+    def test_gh_matches_40_digit_hermite_sum(self):
+        """The GH kernel against its Hermite series in 40-digit arithmetic.
+
+        b(x) = k_s/(2 sqrt(pi)) exp(-y^2) sum_{n<=m} (-1)^n H_2n(y)/(4^n n!),
+        y = k_s x / 2, with H_j from the physicists' recurrence, at y from the
+        centre to past the point where the library returns exact zeros.  The
+        oracle also confirms the bound |b(x)/b(0)| <= (m+1) exp(-y^2/2) that
+        sets that point.
+        """
+        k_s = 0.8
+        for m in (1, 20, 100, 200, 1000):
+            ys = np.concatenate([np.linspace(0.0, 4.0 / math.sqrt(m), 9),
+                                 np.linspace(0.5, 12.0, 24)])
+            with mpmath.workdps(40):
+                sums = [_gh_hermite_sum(m, y) for y in ys]
+            ref = np.array(sums) * k_s / (2.0 * math.sqrt(math.pi))
+            got = np.asarray(kernel(GaussHermite(m, k_s), 2.0 * ys / k_s))
+            assert np.max(np.abs(got - ref)) <= 1e-12 * ref[0], m
+            assert np.all(np.abs(ref) <= (m + 1) * np.exp(-0.5 * ys**2) * ref[0]), m
+            assert got[-1] == 0.0
+
     def test_gh_table_matches_quadrature(self):
         spec = calibrate("gh", 1.0, m=100).spec
         for xv in (0.7, 3.3):
@@ -229,6 +250,19 @@ class TestKernel:
         spec = CosineTerminated(1.7, 5.0, 0.5)
         assert float(kernel(spec, -xv)) == pytest.approx(float(kernel(spec, xv)),
                                                          rel=1e-12, abs=1e-15)
+
+
+def _gh_hermite_sum(m: int, y: float) -> float:
+    """exp(-y^2) sum_{n<=m} (-1)^n H_2n(y) / (4^n n!) at the working mpmath precision."""
+    y = mpmath.mpf(y)
+    h_prev, h = mpmath.mpf(1), 2 * y      # H_0, H_1
+    total, weight = mpmath.mpf(1), mpmath.mpf(1)
+    for n in range(1, m + 1):
+        h_prev, h = h, 2 * y * h - 2 * (2 * n - 1) * h_prev            # H_2n-1 -> H_2n
+        weight /= -4 * n
+        total += weight * h
+        h_prev, h = h, 2 * y * h - 4 * n * h_prev                      # H_2n+1
+    return float(mpmath.exp(-y * y) * total)
 
 
 class TestStructure:
@@ -299,6 +333,12 @@ class TestSerialization:
                      GaussHermite(100, 0.18833080789450612),
                      CosineTerminated(1.6791246414768026, 5.0, 0.5)):
             assert parse_spec(serialize_spec(spec)) == spec
+
+    def test_gh_float_order_round_trip(self):
+        """An integral float order is stored as an int, so its block parses back."""
+        spec = GaussHermite(20.0, 0.4)
+        assert type(spec.m) is int and "m=20\n" in serialize_spec(spec)
+        assert parse_spec(serialize_spec(spec)) == spec == GaussHermite(20, 0.4)
 
     @given(st.floats(min_value=1e-3, max_value=1e3),
            st.floats(min_value=0.5, max_value=100.0),

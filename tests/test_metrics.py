@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import gammaincc
 
-from specfilt import metrics
+from specfilt import filters, metrics
 from specfilt._gauss import exp_weighted
 from specfilt.engine import dft_forward
 from specfilt.filters import (
@@ -518,7 +518,7 @@ def _dimensionless(family: str, x_o: float, m: int | None = None,
 
 _SCALE_CASES = [("ra", None, True), ("bw", None, True), ("ct", None, True),
                 ("gh", 1, False), ("gh", 20, False), ("gh", 100, False),
-                ("gh", 1, True), ("gh", 20, True)]
+                ("gh", 1, True), ("gh", 20, True), ("gh", 100, True)]
 
 
 @pytest.fixture(scope="module")
@@ -556,13 +556,19 @@ class TestScaleCovariance:
     def test_gh_calibration_and_mse(self, at_unit_scale, m, log10_x_o):
         _assert_scale_free(at_unit_scale, "gh", 10.0**log10_x_o, m, shape=False)
 
-    # The GH kernel and the DS noise route read a spline table whose grid is
-    # laid out in physical units; outside x_o in [0.3, 3], or at m = 100,
-    # building it takes longer than an example may (m = 20 on a 2-core Xeon
-    # VM: 1.1 s at x_o = 10, 1.3 s at x_o = 0.05).  The closed-form GH kernel
-    # (ROADMAP item 1) replaces the table.
-    @pytest.mark.parametrize("m", [1, 20])
-    @given(st.floats(min_value=np.log10(0.3), max_value=np.log10(3.0)))
-    @settings(max_examples=10, deadline=1000)
+    # The GH kernel is a closed form in y = k_s x / 2, and the DS noise route
+    # integrates it over y, so both cost the same at every x_o.
+    @pytest.mark.parametrize("m", [1, 20, 100])
+    @given(st.floats(min_value=-3.0, max_value=3.0))
+    @settings(max_examples=15, deadline=1000)
     def test_gh_kernel_and_gain(self, at_unit_scale, m, log10_x_o):
         _assert_scale_free(at_unit_scale, "gh", 10.0**log10_x_o, m)
+
+    @pytest.mark.parametrize("m", [1, 100])
+    @pytest.mark.parametrize("x_o", [1e-3, 1e3])
+    def test_gh_calibration_and_gain_time(self, m, x_o):
+        """GH calibrate + noise_gain far from unit scale finishes in under 1 s."""
+        filters._gh_half_height_y.cache_clear()  # time the root search too
+        start = time.perf_counter()
+        noise_gain(calibrate("gh", x_o, m=m).spec)
+        assert time.perf_counter() - start < 1.0
