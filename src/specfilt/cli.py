@@ -179,6 +179,11 @@ def _spec_line(spec: FilterSpec, x_o: float | None = None) -> str:
     return "; ".join(serialize_spec(spec, x_o=x_o).strip().splitlines())
 
 
+def _ct_dk(cfg: RunConfig, x0: float) -> float:
+    """--dk, by default 0.5/x0, so the default ct spec has one shape at every x0."""
+    return cfg.get("dk", 0.5 / x0 if x0 > 0 else 0.5)  # a bad x0 is reported on its own
+
+
 def _validate_family_params(cfg: RunConfig, family: str) -> None:
     x0 = cfg.get("x0", 1.0)
     cfg.check(x0 > 0, f"--x0 must be positive, got {x0}")
@@ -190,7 +195,7 @@ def _validate_family_params(cfg: RunConfig, family: str) -> None:
         if m is not None:
             cfg.check(m >= 1, f"--m must be an integer >= 1, got {m}")
     if family in ("ct", "tukey"):
-        dk = cfg.require("dk", 0.5 if family == "ct" else None)
+        dk = _ct_dk(cfg, x0) if family == "ct" else cfg.require("dk")
         if dk is not None:
             cfg.check(dk > 0, f"--dk must be positive, got {dk}")
     if family == "ct":
@@ -217,7 +222,7 @@ def _resolve_spec(cfg: RunConfig) -> tuple[FilterSpec, float, CalibrationResult 
         _validate_family_params(cfg, family)
     if cfg.get("k1") is not None and family == "ct":
         cfg.finish()
-        spec = CosineTerminated(cfg.get("k1"), cfg.get("a", 5.0), cfg.get("dk", 0.5))
+        spec = CosineTerminated(cfg.get("k1"), cfg.get("a", 5.0), _ct_dk(cfg, x0))
         return spec, x0, None
     cfg.finish()
     if family in ("tukey", "hann", "welch_approx"):
@@ -225,8 +230,7 @@ def _resolve_spec(cfg: RunConfig) -> tuple[FilterSpec, float, CalibrationResult 
         b0 = float(kernel(spec, 0.0))
         residual = abs(float(kernel(spec, x0)) / b0 - 0.5)
         return spec, x0, CalibrationResult(spec, x0, residual)
-    result = calibrate(family, x0, m=cfg.get("m"), a=cfg.get("a", 5.0),
-                       dk=cfg.get("dk", 0.5))
+    result = calibrate(family, x0, m=cfg.get("m"), a=cfg.get("a", 5.0), dk=_ct_dk(cfg, x0))
     return result.spec, x0, result
 
 
@@ -327,7 +331,9 @@ def cmd_sweep(cfg: RunConfig, command: str) -> int:
         rows = [list(r) for r in zip(etas, *(ratios(s) for s in specs.values()))]
     elif kind == "ct":
         a = cfg.get("a", 5.0)
-        dks = _parse_list(cfg.get("dk_list", "0.2,0.5,1.0"), float, "--dk-list", cfg)
+        dk_list = cfg.get("dk_list")
+        dks = ([s / x0 for s in (0.2, 0.5, 1.0)] if dk_list is None
+               else _parse_list(dk_list, float, "--dk-list", cfg))
         cfg.check(a >= 0.5, f"--a must be >= 1/2, got {a}")
         cfg.finish()
         specs = {dk: calibrate("ct", x0, a=a, dk=dk).spec for dk in dks}
@@ -337,7 +343,7 @@ def cmd_sweep(cfg: RunConfig, command: str) -> int:
     else:  # compare
         m = cfg.get("m", 100)
         a = cfg.get("a", 5.0)
-        dk = cfg.get("dk", 0.5)
+        dk = _ct_dk(cfg, x0)
         gh = calibrate("gh", x0, m=m).spec
         ct = calibrate("ct", x0, a=a, dk=dk).spec
         meta += [f"spec_gh: {_spec_line(gh)}", f"spec_ct: {_spec_line(ct)}"]
@@ -356,7 +362,7 @@ def cmd_noise(cfg: RunConfig, command: str) -> int:
     x0 = cfg.get("x0", 1.0)
     m = cfg.get("m", 100)
     a = cfg.get("a", 5.0)
-    dk = cfg.get("dk", 0.5)
+    dk = _ct_dk(cfg, x0)
     trials = cfg.get("trials", 0)
     grid_n = cfg.get("grid_n", 256)
     cfg.check(x0 > 0, f"--x0 must be positive, got {x0}")
@@ -485,7 +491,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--family", choices=_FAMILIES, help="filter family")
     common.add_argument("--m", type=int, help="gauss-hermite order")
     common.add_argument("--a", type=float, help="cosine-terminated steepness")
-    common.add_argument("--dk", type=float, help="cosine-terminated spread")
+    common.add_argument("--dk", type=float, help="cosine-terminated spread (ct default 0.5/x0)")
     common.add_argument("--k1", type=float, help="explicit cosine-terminated onset (skips calibration)")
     common.add_argument("--eta", type=float, help="single gamma/x_o ratio")
     common.add_argument("--out", help="output path (default stdout)")
@@ -510,7 +516,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta-max", type=float)
     p.add_argument("--eta-points", type=int)
     p.add_argument("--m-list", help="comma-separated gauss-hermite orders")
-    p.add_argument("--dk-list", help="comma-separated cosine-terminated spreads")
+    p.add_argument("--dk-list", help="comma-separated cosine-terminated spreads (default 0.2,0.5,1.0 over x0)")
 
     p = sub.add_parser("noise", parents=[common], help="noise transmission table")
     p.add_argument("--trials", type=int, help="Monte Carlo trials (0 = analytic only)")

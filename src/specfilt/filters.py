@@ -64,7 +64,9 @@ class _Family:
     Every family defines ``tag``, ``_transfer``, ``_kernel``,
     ``_half_transfer_point`` and the ``_calibrated`` classmethod.  Methods
     call the module functions (``kernel``, ``gh_kernel_quadrature``, ...),
-    not each other, so that a wrapper bound to those names sees every call.
+    not each other, so that a wrapper bound to those names sees every call;
+    only the calibration scans, which run at unit scale on no spec, call
+    ``_ct_kernel`` and ``_gh_sum`` directly.
     """
 
     tag: ClassVar[str]
@@ -78,11 +80,7 @@ class _Family:
     def _ds_cutoff(self) -> float:
         scale = 1.0 / half_transfer_point(self)
         b0 = float(kernel(self, 0.0))
-
-        def f(x: float) -> float:
-            return float(kernel(self, x)) / b0 - 0.5
-
-        return _first_root(f, 1e-4 * scale, 1e3 * scale)
+        return _first_root(lambda x: kernel(self, x) / b0 - 0.5, 1e-4 * scale, 1e3 * scale)
 
     def _residual(self, x_o: float) -> float:
         """|b(x_o)/b(0) - 1/2| achieved by a calibration."""
@@ -120,7 +118,7 @@ class RunningAverage(_Family):
         return self.x_o
 
     @classmethod
-    def _calibrated(cls, x_o: float, lo: float, hi: float, **_) -> RunningAverage:
+    def _calibrated(cls, x_o: float, **_) -> RunningAverage:
         return cls(x_o)
 
 
@@ -154,8 +152,8 @@ class BrickWall(_Family):
         return SINC_HALF_CROSSING / self.k_o
 
     @classmethod
-    def _calibrated(cls, x_o: float, lo: float, hi: float, **_) -> BrickWall:
-        return cls(_first_root(lambda k: float(_sinc(np.asarray(k * x_o))) - 0.5, lo, hi))
+    def _calibrated(cls, x_o: float, **_) -> BrickWall:
+        return cls(SINC_HALF_CROSSING / x_o)
 
 
 @dataclass(frozen=True)
@@ -195,8 +193,7 @@ class GaussHermite(_Family):
         return self.k_s * float(np.sqrt(gammainccinv(self.m + 1, 0.5)))
 
     @classmethod
-    def _calibrated(cls, x_o: float, lo: float, hi: float, *, m: int | None = None,
-                    **_) -> GaussHermite:
+    def _calibrated(cls, x_o: float, *, m: int | None = None, **_) -> GaussHermite:
         if m is None:
             raise ValueError("gh calibration requires the order m")
         return cls(int(m), 2.0 * _gh_half_height_y(int(m)) / x_o)
@@ -225,19 +222,7 @@ class CosineTerminated(_Family):
         return np.where(ak <= self.k_1, 1.0, np.where(ak >= k2_of(self), 0.0, roll))
 
     def _kernel(self, x: np.ndarray) -> np.ndarray:
-        # Exact rewrite of the three-term closed-form kernel.  Writing each term
-        # as cos(...)*sinc(...) removes the singularities at x = 0 and
-        # x = +-1/dk analytically, so no branch switching is needed near them.
-        k1 = self.k_1
-        k2 = k2_of(self)
-        a = self.a
-        c = k2 - k1  # rolloff width; c/dk = arccos(1 - 1/a)
-        d = 1.0 / self.dk
-        b1 = (k1 * _sinc(k1 * x) + (1.0 - a) * c * np.cos(0.5 * (k1 + k2) * x) * _sinc(0.5 * c * x)) / np.pi
-        amp = a * c / (2.0 * np.pi)
-        b2 = amp * np.cos((0.5 * c + k1) * (x + d) - k1 * d) * _sinc(0.5 * c * (x + d))
-        b3 = amp * np.cos((0.5 * c + k1) * (x - d) + k1 * d) * _sinc(0.5 * c * (x - d))
-        return b1 + b2 + b3
+        return _ct_kernel(self.k_1, self.a, self.dk, x)
 
     def _support_cutoff(self) -> float:
         return k2_of(self)
@@ -252,22 +237,20 @@ class CosineTerminated(_Family):
         return {"k_2": k2_of(self)}
 
     @classmethod
-    def _calibrated(cls, x_o: float, lo: float, hi: float, *, a: float | None = None,
-                    dk: float | None = None, **_) -> CosineTerminated:
+    def _calibrated(cls, x_o: float, *, a: float | None = None, dk: float | None = None,
+                    **_) -> CosineTerminated:
         if a is None or dk is None:
             raise ValueError("ct calibration requires a and dk")
-
-        def f(k_1: float) -> float:
-            return _half_height_mismatch(cls(k_1, a, dk), x_o)
-
-        try:
-            k_1 = _first_root(f, lo, hi)
+        cls(0.0, a, dk)  # rejects a bad a or dk before the scan
+        spread = dk * x_o
+        try:  # for u = k_1 x_o
+            return cls(_first_root(lambda u: _ct_unit_mismatch(u, a, spread), 1e-6, 1e3) / x_o,
+                       a, dk)
         except CalibrationError:
             raise CalibrationError(
-                f"ct(a={a}, dk={dk}) cannot reach b({x_o})/b(0) = 1/2 for any "
-                f"k_1 >= 0; residual at the clamped k_1 = 0 is {f(0.0):+.3e}"
+                f"ct(a={a}, dk={dk}) cannot reach b({x_o})/b(0) = 1/2 for any k_1 >= 0; "
+                f"residual at the clamped k_1 = 0 is {_ct_unit_mismatch(0.0, a, spread):+.3e}"
             ) from None
-        return cls(k_1, a, dk)
 
 
 FilterSpec = Union[RunningAverage, BrickWall, GaussHermite, CosineTerminated]
@@ -313,6 +296,28 @@ def breakpoints(spec: FilterSpec) -> tuple[float, ...]:
 def half_transfer_point(spec: FilterSpec) -> float:
     """First k where B(k) = 1/2 (the reciprocal-space cutoff equivalent)."""
     return _checked(spec)._half_transfer_point()
+
+
+def _ct_kernel(k1, a: float, dk: float, x):
+    """The ct kernel b(x), broadcasting over the onset k1 and the position x.
+
+    Exact rewrite of the three-term closed-form kernel.  Writing each term as
+    cos(...)*sinc(...) removes the singularities at x = 0 and x = +-1/dk
+    analytically, so no branch switching is needed near them.
+    """
+    k2 = k1 + dk * np.arccos(1.0 - 1.0 / a)
+    c = k2 - k1  # rolloff width; c/dk = arccos(1 - 1/a)
+    d = 1.0 / dk
+    b1 = (k1 * _sinc(k1 * x) + (1.0 - a) * c * np.cos(0.5 * (k1 + k2) * x) * _sinc(0.5 * c * x)) / np.pi
+    amp = a * c / (2.0 * np.pi)
+    b2 = amp * np.cos((0.5 * c + k1) * (x + d) - k1 * d) * _sinc(0.5 * c * (x + d))
+    b3 = amp * np.cos((0.5 * c + k1) * (x - d) + k1 * d) * _sinc(0.5 * c * (x - d))
+    return b1 + b2 + b3
+
+
+def _ct_unit_mismatch(k1, a: float, dk: float):
+    """b(1)/b(0) - 1/2 of the ct kernel, broadcasting over k1 or dk."""
+    return _ct_kernel(k1, a, dk, 1.0) / _ct_kernel(k1, a, dk, 0.0) - 0.5
 
 
 def _gh_weights(m: int) -> tuple[list[float], list[float], list[float]]:
@@ -372,17 +377,12 @@ _gh_table = _gh_kernel
 def _gh_half_height_y(m: int) -> float:
     """The y = k_s x_o / 2 where the order-m GH kernel falls to half its centre.
 
-    b(x_o)/b(0) depends on y alone, so every x_o shares one root: the first
-    sign change of the ratio - 1/2 on a log-spaced scan of calibrate's k_s
-    bracket [1e-6, 1e3] / x_o, polished by brentq on the scalar recurrence.
+    b(x_o)/b(0) depends on y alone, so every x_o shares one root, found on
+    calibrate's dimensionless bracket k_s x_o in [1e-6, 1e3].  The ratio is
+    1 - O(m y^2) at the bracket's start and exactly 0 at its end.
     """
     s0 = _gh_sum(0.0, m)
-    ys = np.geomspace(0.5e-6, 0.5e3, 240)
-    # the ratio is 1 - O(m y^2) at the first point and exactly 0 at the last
-    i = int(np.argmax(_gh_sum(ys, m) <= 0.5 * s0))
-    # rtol alone ends the search, at brentq's floor of 4 ulp
-    return float(brentq(lambda y: _gh_sum(y, m) / s0 - 0.5, ys[i - 1], ys[i],
-                        xtol=1e-300, rtol=8.9e-16))
+    return _first_root(lambda y: _gh_sum(y, m) / s0 - 0.5, 0.5e-6, 0.5e3)
 
 
 def gh_kernel_quadrature(spec: GaussHermite, x: float) -> float:
@@ -407,20 +407,22 @@ def kernel(spec: FilterSpec, x):
     return out if out.ndim else float(out)
 
 
-def _first_root(f: Callable[[float], float], lo: float, hi: float, n: int = 240) -> float:
-    """First sign change of f on a log-spaced scan of [lo, hi], polished by brentq."""
-    grid = np.geomspace(lo, hi, n)
-    prev_p, prev_v = grid[0], f(grid[0])
-    for p in grid[1:]:
-        v = f(p)
-        if v == 0.0:
-            return float(p)
-        if (prev_v < 0.0) != (v < 0.0):
-            return float(brentq(f, prev_p, p, xtol=1e-13, rtol=8.9e-16))
-        prev_p, prev_v = p, v
-    raise CalibrationError(
-        f"no sign change of the calibration residual in [{lo:g}, {hi:g}]"
-    )
+def _first_root(f: Callable, lo: float, hi: float) -> float:
+    """First sign change of f on a 240-point log-spaced scan of [lo, hi], polished by brentq.
+
+    f is called once with the whole scan as an array, then with floats.  The
+    relative tolerance alone ends the polish, at brentq's floor of 4 ulp, so
+    the root is as accurate at every scale.
+    """
+    grid = np.geomspace(lo, hi, 240)
+    neg = f(grid) < 0.0
+    flips = np.flatnonzero(neg[1:] != neg[:-1])
+    if not flips.size:
+        raise CalibrationError(
+            f"no sign change of the calibration residual in [{lo:g}, {hi:g}]"
+        )
+    i = flips[0]
+    return float(brentq(f, grid[i], grid[i + 1], xtol=1e-300, rtol=8.9e-16))
 
 
 def _half_height_mismatch(spec: FilterSpec, x_o: float) -> float:
@@ -433,16 +435,20 @@ def calibrate(family: str, x_o: float, *, m: int | None = None,
     """Fix a family's free parameter so its kernel satisfies b(x_o)/b(0) = 1/2.
 
     Free parameter by family: ra -> x_o itself, bw -> k_o, gh -> k_s (m fixed),
-    ct -> k_1 (a and dk fixed).  Raises CalibrationError when no bracket exists
-    in [1e-6, 1e3]/x_o (for ct the residual at k_1 = 0 is reported as well,
-    since large dk can make every k_1 >= 0 overshoot the half-height point).
+    ct -> k_1 (a and dk fixed).  Each family solves its half-height condition
+    once, at unit scale, in its dimensionless parameter (k_1 x_o for ct, k_s
+    x_o for gh; bw is the closed form SINC_HALF_CROSSING / x_o), and divides
+    by x_o at the end.  Raises CalibrationError when no root lies in the
+    dimensionless bracket [1e-6, 1e3] (for ct the residual at k_1 = 0 is
+    reported as well, since large dk can make every k_1 >= 0 overshoot the
+    half-height point).
     """
     if not x_o > 0:
         raise ValueError(f"calibration requires x_o > 0, got {x_o}")
     cls = _BY_TAG.get(family)
     if cls is None:
         raise ValueError(f"unknown filter family {family!r}")
-    spec = cls._calibrated(x_o, 1e-6 / x_o, 1e3 / x_o, m=m, a=a, dk=dk)
+    spec = cls._calibrated(x_o, m=m, a=a, dk=dk)
     return CalibrationResult(spec, x_o, spec._residual(x_o))
 
 
@@ -451,7 +457,8 @@ def special_case(name: str, x_o: float, *, dk: float | None = None) -> FilterSpe
 
     tukey: a = 1/2 with caller-chosen dk, k_1 calibrated.  hann: k_1 = 0,
     a = 1/2, dk calibrated (B = (1 + cos(k/dk))/2 on [0, pi*dk]).
-    welch_approx: k_1 = 0, a = 1, dk calibrated.
+    welch_approx: k_1 = 0, a = 1, dk calibrated.  Both solve for w = dk x_o
+    at unit scale.
     """
     if name == "tukey":
         if dk is None:
@@ -459,12 +466,8 @@ def special_case(name: str, x_o: float, *, dk: float | None = None) -> FilterSpe
         return calibrate("ct", x_o, a=0.5, dk=dk).spec
     if name in ("hann", "welch_approx"):
         a = 0.5 if name == "hann" else 1.0
-
-        def f(width: float) -> float:
-            return _half_height_mismatch(CosineTerminated(0.0, a, width), x_o)
-
-        width = _first_root(f, 1e-6 / x_o, 1e3 / x_o)
-        return CosineTerminated(0.0, a, width)
+        w = _first_root(lambda w: _ct_unit_mismatch(0.0, a, w), 1e-6, 1e3)
+        return CosineTerminated(0.0, a, w / x_o)
     raise ValueError(f"unknown special case {name!r} (expected tukey, hann, welch_approx)")
 
 

@@ -449,7 +449,7 @@ def gibbs_residual(line: LorentzianLine, spec: FilterSpec,
     if s_end is None:
         s_end = 30.0 / gam + 3.0 * half_transfer_point(spec)
     shift = x_grid - line.center
-    x_ref = max(1.0, float(np.max(np.abs(shift))))
+    x_ref = float(np.max(np.abs(shift)))
     edges = np.unique(np.concatenate([
         np.linspace(0.0, s_end, max(5, int(s_end * x_ref / 30.0) + 1)),
         [b for b in breakpoints(spec) if 0.0 < b < s_end],

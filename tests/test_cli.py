@@ -46,6 +46,15 @@ class TestCalibrateCommand:
         spec = parse_spec(dest.read_text())
         assert spec.k_1 == pytest.approx(1.6791246414768026, rel=1e-12)
 
+    def test_ct_default_dk_is_scaled(self, capsys):
+        """Without --dk, ct calibrates at dk = 0.5/x0: one shape at every x0."""
+        for x0 in (1.0, 4.0, 1e3):
+            assert main(["calibrate", "--family", "ct", "--x0", repr(x0),
+                         "--no-timestamp"]) == EXIT_OK
+            spec = parse_spec(capsys.readouterr().out)
+            assert spec.dk == 0.5 / x0
+            assert spec.k_1 * x0 == pytest.approx(1.6791246414768026, rel=1e-15)
+
     def test_spec_file_input(self, tmp_path, capsys):
         dest = tmp_path / "spec.txt"
         main(["calibrate", "--family", "gh", "--m", "10", "--out", str(dest),
@@ -155,6 +164,17 @@ class TestNoiseCommand:
         assert main(["noise", "--dk", "0.01", "--no-timestamp"]) == EXIT_OK
         _, body = _rows(capsys.readouterr().out)
         assert float(body[3][2]) == pytest.approx(float(body[3][3]), rel=1e-9)
+
+    def test_default_dk_scales_with_x0(self, capsys):
+        # dk = 0.5 at this x0 cannot reach half height; the default 0.5/x0 can
+        x0 = 18.791550682890122
+        assert main(["noise", "--x0", repr(x0), "--no-timestamp"]) == EXIT_OK
+        _, body = _rows(capsys.readouterr().out)
+        assert body[3][0] == f"ct_a5.0_dk{0.5 / x0!r}"
+        assert main(["noise", "--no-timestamp"]) == EXIT_OK
+        _, unit = _rows(capsys.readouterr().out)
+        # the same ct shape: rms gain times sqrt(x0) is the x0 = 1 gain
+        assert float(body[3][1]) * x0**0.5 == pytest.approx(float(unit[3][1]), rel=1e-12)
 
     def test_panel_budget_is_a_numeric_failure(self, capsys):
         # k_1/dk ~ 19000 needs more panels than the quadrature core allows

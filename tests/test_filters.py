@@ -92,7 +92,9 @@ class TestCalibration:
 
     def test_ct_unreachable_half_height(self):
         """A very wide, very steep rolloff cannot be dropped to half height."""
-        with pytest.raises(CalibrationError):
+        with pytest.raises(CalibrationError, match=(
+                r"ct\(a=200.0, dk=40.0\) cannot reach b\(1.0\)/b\(0\) = 1/2 for any "
+                r"k_1 >= 0; residual at the clamped k_1 = 0 is -4.131e-01")):
             calibrate("ct", 1.0, a=200.0, dk=40.0)
 
     def test_bad_arguments(self):
@@ -102,6 +104,10 @@ class TestCalibration:
             calibrate("ra", -1.0)
         with pytest.raises(ValueError):
             CosineTerminated(1.0, 0.3, 0.5)  # a below 1/2
+        with pytest.raises(ValueError, match="a >= 1/2"):
+            calibrate("ct", 1.0, a=0.3, dk=0.5)
+        with pytest.raises(ValueError, match="dk > 0"):
+            calibrate("ct", 1.0, a=5.0, dk=0.0)
         with pytest.raises(ValueError):
             GaussHermite(0, 1.0)
         with pytest.raises(ValueError):
@@ -111,8 +117,9 @@ class TestCalibration:
     @settings(max_examples=20, deadline=None)
     def test_bw_scaling_law(self, x_o):
         """k_o * x_o is the same constant for every half-width."""
-        assert calibrate("bw", x_o).spec.k_o * x_o == pytest.approx(
-            SINC_HALF_CROSSING, rel=1e-12)
+        k_o = calibrate("bw", x_o).spec.k_o
+        assert k_o * x_o == pytest.approx(SINC_HALF_CROSSING, rel=1e-12)
+        assert k_o == SINC_HALF_CROSSING / x_o  # the closed form, no search
 
     def test_ds_cutoff_recovers_x_o(self):
         """Calibration puts the kernel half-height point at x_o exactly."""
@@ -120,6 +127,58 @@ class TestCalibration:
                            ("ct", {"a": 5.0, "dk": 0.5})):
             spec = calibrate(family, 1.3, **kw).spec
             assert ds_cutoff(spec) == pytest.approx(1.3, rel=1e-9)
+
+
+# Dimensionless free parameter (parameter * x_o) of each calibration.  ct and
+# tukey hold dk * x_o fixed, so the parameter cannot depend on x_o either.
+_UNIT_SCALE_PARAMETER = {
+    "bw": lambda x_o: calibrate("bw", x_o).spec.k_o,
+    **{f"gh_m{m}": (lambda m: lambda x_o: calibrate("gh", x_o, m=m).spec.k_s)(m)
+       for m in (1, 20, 100)},
+    **{f"ct_a{a}_w{w}": (lambda a, w: lambda x_o: calibrate(
+        "ct", x_o, a=a, dk=w / x_o).spec.k_1)(a, w)
+       for a in (0.5, 5.0) for w in (0.12, 0.5)},
+    "tukey": lambda x_o: special_case("tukey", x_o, dk=0.3 / x_o).k_1,
+    "hann": lambda x_o: special_case("hann", x_o).dk,
+    "welch_approx": lambda x_o: special_case("welch_approx", x_o).dk,
+}
+
+# ct (a, w = dk x_o) grid: for each a, the smallest w on the grid for which no
+# k_1 >= 0 reaches half height (every k_1 overshoots).  No grid point lies
+# within 3 % of the boundary.
+_CT_SPREADS = (0.05, 0.1, 0.2, 0.5, 0.8, 1.2, 1.5, 2.0, 2.7, 3.5, 4.5, 10.0, 40.0)
+_CT_FIRST_INFEASIBLE = {0.5: 1.2, 0.75: 1.5, 1.0: 2.0, 1.5: 2.7, 2.0: 2.7, 3.0: 3.5,
+                        5.0: 4.5, 10.0: 10.0, 20.0: 10.0, 50.0: 40.0, 100.0: 40.0,
+                        200.0: 40.0}
+
+
+class TestCalibrationScale:
+    """Every family calibrates at unit scale, so x_o only divides the result."""
+
+    @pytest.fixture(scope="class")
+    def at_unit_scale(self):
+        return {name: f(1.0) for name, f in _UNIT_SCALE_PARAMETER.items()}
+
+    @given(st.floats(min_value=-6.0, max_value=6.0))
+    @settings(max_examples=40, deadline=None)
+    def test_parameter_times_x_o_is_scale_free(self, at_unit_scale, log10_x_o):
+        """parameter * x_o equals its x_o = 1 value to 2 ulp over x_o in [1e-6, 1e6]."""
+        x_o = 10.0**log10_x_o
+        for name, f in _UNIT_SCALE_PARAMETER.items():
+            assert f(x_o) * x_o == pytest.approx(at_unit_scale[name], rel=4.5e-16,
+                                                 abs=0.0), name
+
+    @pytest.mark.parametrize("x_o", [1e-6, 1e-3, 1.0, 1e3, 1e6])
+    def test_ct_infeasible_pairs(self, x_o):
+        infeasible = set()
+        for a in _CT_FIRST_INFEASIBLE:
+            for w in _CT_SPREADS:
+                try:
+                    calibrate("ct", x_o, a=a, dk=w / x_o)
+                except CalibrationError:
+                    infeasible.add((a, w))
+        assert infeasible == {(a, w) for a, first in _CT_FIRST_INFEASIBLE.items()
+                              for w in _CT_SPREADS if w >= first}
 
 
 class TestTransfer:

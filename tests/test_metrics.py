@@ -484,6 +484,20 @@ class TestGibbsResidual:
         assert rep.period_estimate == pytest.approx(
             2 * np.pi / half_transfer_point(spec), rel=0.10)
 
+    def test_panel_count_scale_free(self, monkeypatch):
+        """The same transfer points at every x_o for the same grid in units of x_o."""
+        real = metrics.transfer
+        counts = []
+        for x_o in (1e-3, 1.0, 1e3):
+            spec = calibrate("gh", x_o, m=20).spec
+            seen = []
+            monkeypatch.setattr(metrics, "transfer",
+                                lambda s, k: seen.append(np.size(k)) or real(s, k))
+            gibbs_residual(LorentzianLine(x_o, area=np.pi * x_o), spec,
+                           np.linspace(-12.0 * x_o, 12.0 * x_o, 241))
+            counts.append(sum(seen))
+        assert counts[0] == counts[1] == counts[2]
+
     def test_amplitude_decay_rate(self):
         """Peak amplitude falls like exp(-k_c gamma) for unit-height lines."""
         spec = calibrate("bw", 1.0).spec
