@@ -64,23 +64,32 @@ def _composite(g, edges: np.ndarray, rates: np.ndarray,
     # Whole panels below end_j are summed panel by panel and accumulated in
     # order, so a value never depends on the panels past its own end or on
     # the rest of the batch; the panel that end_j cuts short gets its own
-    # nodes.
+    # nodes, evaluated in the same call of g as the first block of whole
+    # panels.
     last = np.searchsorted(edges, ends, side="right") - 1  # last edge <= end
     sums = []
     for n in (_N, 2 * _N):
+        kp, wp = _nodes(edges[last], ends, n)
+        g_end = None
         panels = np.empty((rates.size, edges.size - 1))
         step = _BLOCK // n  # panels per block
         for p in range(0, edges.size - 1, step):
             k, w = _nodes(edges[:-1][p:p + step], edges[1:][p:p + step], n)
-            gw = g(k) * w
+            if g_end is None:
+                gk = g(np.concatenate([k, kp]))
+                gk, g_end = gk[:len(k)], gk[len(k):]
+            else:
+                gk = g(k)
+            gw = gk * w
             rows = _BLOCK // k.size
             for s in range(0, rates.size, rows):
                 panels[s:s + rows, p:p + step] = np.sum(
                     np.exp(-rates[s:s + rows, None, None] * k) * gw, axis=2)
+        if g_end is None:  # no whole panel
+            g_end = g(kp)
         prefix = np.cumsum(np.pad(panels, ((0, 0), (1, 0))), axis=1)
         whole = np.take_along_axis(prefix, last[:, None], axis=1)[:, 0]
-        kp, wp = _nodes(edges[last], ends, n)
-        sums.append(whole + np.sum(np.exp(-rates[:, None] * kp) * (g(kp) * wp), axis=1))
+        sums.append(whole + np.sum(np.exp(-rates[:, None] * kp) * (g_end * wp), axis=1))
     return sums[1], np.abs(sums[1] - sums[0])
 
 

@@ -191,12 +191,14 @@ def noise_transmission_empirical(spec: FilterSpec | Sequence[FilterSpec],
                                  ) -> TransmissionResult | list[TransmissionResult]:
     """Monte Carlo rms gain of filtered white noise against the weight-sum law.
 
-    Each trial filters an independent noise vector drawn from (seed, trial)
-    so results do not depend on evaluation order or thread count.  For one
-    spec the result is a TransmissionResult; for a sequence of specs it is a
-    list, one entry per spec, each equal to the single-spec result.  The
-    draws of each trial are made and transformed once and shared by every
-    spec.
+    Each trial filters an independent noise vector, stream (seed, trial) of
+    the noise model, so results do not depend on evaluation order or thread
+    count.  Blocks of trials are drawn through one reused generator and
+    transformed once by a forward real FFT; each spec then takes a trial's
+    filtered mean square by Parseval, as a weighted sum of the trial's power
+    spectrum, with no inverse transform.  For one spec the result is a
+    TransmissionResult; for a sequence of specs it is a list, one entry per
+    spec, each equal to the single-spec result.
     """
     if trials < 100:
         raise ValueError(f"need at least 100 trials, got {trials}")
@@ -205,24 +207,7 @@ def noise_transmission_empirical(spec: FilterSpec | Sequence[FilterSpec],
     single = isinstance(spec, FilterSpec)
     specs = [spec] if single else list(spec)
     weights = [sampled_kernel(s, grid, dx=dx) for s in specs]
-    m = grid.size
-    resps = [np.fft.rfft(np.fft.ifftshift(w)) for w in weights]
-    gains2 = np.empty((len(specs), trials))
-    # One set of block buffers for the whole run: a fresh megabyte-sized
-    # array per block would be mapped, faulted in and unmapped every time.
-    draws, filt = np.empty((_MC_BLOCK, m)), np.empty((_MC_BLOCK, m))
-    eps_k = np.empty((_MC_BLOCK, m // 2 + 1), dtype=complex)
-    shaped = np.empty_like(eps_k)
-    for start in range(0, trials, _MC_BLOCK):
-        rows = min(_MC_BLOCK, trials - start)
-        for i in range(rows):
-            draws[i] = noise.sequence(start + i, m)
-        np.fft.rfft(draws[:rows], axis=1, out=eps_k[:rows])
-        for g2, resp in zip(gains2, resps):
-            np.multiply(eps_k[:rows], resp, out=shaped[:rows])
-            np.fft.irfft(shaped[:rows], n=m, axis=1, out=filt[:rows])
-            np.square(filt[:rows], out=filt[:rows])
-            g2[start:start + rows] = np.mean(filt[:rows], axis=1) / noise.sigma**2
+    gains2 = _mc_mean_squares(weights, noise, trials, grid.size)
     results = []
     for w, g2 in zip(weights, gains2):
         measured = float(np.sqrt(np.mean(g2)))
@@ -231,6 +216,43 @@ def noise_transmission_empirical(spec: FilterSpec | Sequence[FilterSpec],
         predicted = float(np.sqrt(np.sum(w**2)))
         results.append(TransmissionResult(measured, predicted, se, trials))
     return results[0] if single else results
+
+
+def _mc_mean_squares(weights: list[np.ndarray], noise: "NoiseModel", trials: int,
+                     m: int) -> np.ndarray:
+    """Mean square over sigma^2 of each trial's noise, filtered by each weight vector.
+
+    Row i, column t is the value for weights[i] and trial t.  With E the
+    rfft of the trial and R that of the weights (centred at index 0), the
+    filtered trial is irfft(E R), and for odd m Parseval gives its mean
+    square as sum_k c_k |E_k|^2 |R_k|^2 / m^2, c_0 = 1 and c_k = 2 for
+    k >= 1.  Each value is a numpy sum along one row, so it depends on its
+    trial alone, not on the block, the batch or the thread count.
+    """
+    half = m // 2 + 1
+    c = np.full(half, 2.0)
+    c[0] = 1.0
+    rows_w = []
+    for w in weights:
+        r = np.fft.rfft(np.fft.ifftshift(w))
+        rows_w.append(c * (r.real**2 + r.imag**2) / (m * m * noise.sigma**2))
+    gains2 = np.empty((len(weights), trials))
+    # One set of block buffers for the whole run: a fresh megabyte-sized
+    # array per block would be mapped, faulted in and unmapped every time.
+    draws = np.empty((_MC_BLOCK, m))
+    eps_k = np.empty((_MC_BLOCK, half), dtype=complex)
+    power, weighted = np.empty((_MC_BLOCK, half)), np.empty((_MC_BLOCK, half))
+    for start in range(0, trials, _MC_BLOCK):
+        rows = min(_MC_BLOCK, trials - start)
+        noise.fill(start, draws[:rows])
+        np.fft.rfft(draws[:rows], axis=1, out=eps_k[:rows])
+        parts = eps_k[:rows].view(float)  # real and imaginary parts, interleaved
+        np.square(parts, out=parts)
+        np.add(parts[:, 0::2], parts[:, 1::2], out=power[:rows])
+        for g2, row_w in zip(gains2, rows_w):
+            np.multiply(power[:rows], row_w, out=weighted[:rows])
+            np.sum(weighted[:rows], axis=1, out=g2[start:start + rows])
+    return gains2
 
 
 def reconstruct_with_report(s: Spectrum, spec: FilterSpec, k_scale: float = 1.0,

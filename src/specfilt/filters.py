@@ -333,17 +333,20 @@ def _gh_weights(m: int) -> tuple[list[float], list[float], list[float]]:
     return up, down, c
 
 
-def _gh_sum(y, m: int):
+def _gh_sum(y, m: int, env=None):
     """exp(-y^2/2) sum_{n<=m} (-1)^n c_n phi_2n(y) for a float or an array y.
 
     Equals exp(-y^2) sum_{n<=m} (-1)^n H_2n(y) / (4^n n!), so the GH kernel is
     b(x) = k_s / (2 sqrt(pi)) * _gh_sum(k_s x / 2, m).  Its modulus is below
     (m + 1) exp(-y^2/2), since |phi_j| <= 1 and c_n <= 1, while
     _gh_sum(0, m) = sum c_n^2 >= 1.  A float runs the recurrence in Python
-    floats, an array in numpy.
+    floats, an array in numpy.  env is exp(-y^2/2), by default taken by
+    math.exp for a float and np.exp for an array; the two differ in the last
+    bit for a few per cent of y.
     """
     up, down, c = _gh_weights(m)
-    env = math.exp(-0.5 * y * y) if isinstance(y, float) else np.exp(-0.5 * y * y)
+    if env is None:
+        env = math.exp(-0.5 * y * y) if isinstance(y, float) else np.exp(-0.5 * y * y)
     prev, cur = 0.0 * y, env
     total = env
     for n in range(1, m + 1):
@@ -360,11 +363,22 @@ def _gh_y_cut(m: int) -> float:
 
 
 def _gh_kernel(spec: GaussHermite, x: np.ndarray) -> np.ndarray:
-    """The GH kernel in closed form, exactly zero where |y| = |k_s x|/2 > _gh_y_cut."""
+    """The GH kernel in closed form, exactly zero where |y| = |k_s x|/2 > _gh_y_cut.
+
+    A 0-d x runs the float recurrence, an order of magnitude faster than
+    numpy's on one element, with np.exp for its envelope so that its value
+    equals the array path's bit for bit.
+    """
     y = 0.5 * spec.k_s * np.abs(x)
+    scale = spec.k_s / (2.0 * math.sqrt(math.pi))
+    if y.ndim == 0:
+        t = float(y)
+        if not t <= _gh_y_cut(spec.m):
+            return np.float64(0.0)
+        return np.float64(scale * _gh_sum(t, spec.m, float(np.exp(-0.5 * t * t))))
     near = y <= _gh_y_cut(spec.m)
     out = np.zeros(y.shape)
-    out[near] = spec.k_s / (2.0 * math.sqrt(math.pi)) * _gh_sum(y[near], spec.m)
+    out[near] = scale * _gh_sum(y[near], spec.m)
     return out
 
 

@@ -70,9 +70,31 @@ class NoiseModel:
 
     def sequence(self, index: int, count: int) -> np.ndarray:
         """Draw `count` values for stream `index`; bit-stable per (seed, index)."""
-        key = np.array([self.seed & _U64, index & _U64], dtype=np.uint64)
-        gen = np.random.Generator(np.random.Philox(key=key))
-        return gen.normal(0.0, self.sigma, count) if self.sigma else np.zeros(count)
+        out = np.empty((1, count))
+        self.fill(index, out)
+        return out[0]
+
+    def fill(self, start: int, out: np.ndarray) -> None:
+        """Fill row i of the 2-D array `out` with stream start + i.
+
+        Stream j is the standard normals of a Philox keyed (seed, j), times
+        sigma.  One Philox serves every row: resetting its key and counter
+        replays a freshly keyed generator without seeding a new one.
+        """
+        if not self.sigma:
+            out[...] = 0.0
+            return
+        bits = np.random.Philox(key=np.array([self.seed & _U64, start & _U64],
+                                             dtype=np.uint64))
+        gen = np.random.Generator(bits)
+        fresh = bits.state
+        for i, row in enumerate(out):
+            if i:
+                fresh["state"]["key"][1] = (start + i) & _U64
+                bits.state = fresh
+            gen.standard_normal(out=row)
+        if self.sigma != 1.0:
+            out *= self.sigma
 
 
 def lorentzian_ds(line: LorentzianLine, x):

@@ -153,11 +153,25 @@ class TestNoiseCommand:
               "--no-timestamp"])
         _, body = _rows(capsys.readouterr().out)
         assert [row[-3:] for row in body] == [
-            ["0.21277771334932946", "0.21821789023599236", "0.005146639748503154"],
+            ["0.21277771334932943", "0.21821789023599236", "0.005146639748503154"],
             ["0.25592755380766363", "0.2591222699256251", "0.00756495480859659"],
-            ["0.2533985612002848", "0.2566466600708504", "0.007477490629296901"],
-            ["0.254257408653098", "0.25748831939408323", "0.0075066903882579595"],
+            ["0.25339856120028476", "0.2566466600708504", "0.007477490629296902"],
+            ["0.2542574086530979", "0.25748831939408323", "0.007506690388257959"],
         ]
+
+    def test_monte_carlo_independent_of_thread_count(self):
+        # each trial's mean square is a numpy reduction, never a threaded BLAS call
+        src = pathlib.Path(specfilt.__file__).resolve().parents[1]
+        argv = [sys.executable, "-m", "specfilt", "noise", "--trials", "300",
+                "--grid-n", "64", "--seed", "5", "--no-timestamp"]
+        outs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": str(src),
+                   "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+            outs.append(subprocess.run(argv, capture_output=True, check=True,
+                                       env=env).stdout)
+        assert outs[0] == outs[1]
+        assert b"mc_gain" in outs[0]
 
     def test_small_dk_finishes(self, capsys):
         # k_1/dk ~ 190: the ct routes once ran out of adaptive subintervals here

@@ -10,6 +10,7 @@ from specfilt.engine import (
     SampleGrid,
     Spectrum,
     TransmissionResult,
+    _mc_mean_squares,
     apply_filter_ds,
     apply_filter_rs,
     dft_forward,
@@ -194,6 +195,24 @@ class TestNoiseTransmission:
         with pytest.raises(ValueError):
             noise_transmission_empirical(BrickWall(1.0), NoiseModel(1.0, 0), 99,
                                          SampleGrid(32))
+
+    @pytest.mark.parametrize("sigma", [1.0, 0.3])
+    @pytest.mark.parametrize("n", [1, 32, 64])
+    def test_parseval_matches_direct_space_trials(self, n, sigma):
+        # per trial: filter in direct space by an inverse transform, square,
+        # average; 300 trials leave a partial block
+        specs = [calibrate("ra", 1.0).spec, calibrate("bw", 1.0).spec,
+                 calibrate("gh", 1.0, m=20).spec, calibrate("ct", 1.0, a=5.0, dk=0.5).spec]
+        grid, noise, trials = SampleGrid(n), NoiseModel(sigma, seed=13), 300
+        weights = [sampled_kernel(s, grid) for s in specs]
+        got = _mc_mean_squares(weights, noise, trials, grid.size)
+        for w, row in zip(weights, got):
+            resp = np.fft.rfft(np.fft.ifftshift(w))
+            want = np.array([
+                np.mean(np.fft.irfft(np.fft.rfft(noise.sequence(t, grid.size)) * resp,
+                                     n=grid.size) ** 2) / sigma**2
+                for t in range(trials)])
+            np.testing.assert_allclose(row, want, rtol=1e-13, atol=0)
 
 
 class TestReconstruct:

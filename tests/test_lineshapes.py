@@ -116,6 +116,24 @@ class TestNoiseModel:
 
     def test_zero_sigma(self):
         assert np.all(NoiseModel(0.0, seed=1).sequence(0, 10) == 0.0)
+        block = np.full((3, 10), np.nan)
+        NoiseModel(0.0, seed=1).fill(5, block)
+        assert np.all(block == 0.0)
+
+    @pytest.mark.parametrize("sigma", [0.3, 1.0, 2.5])
+    def test_block_draws_equal_streams(self, sigma):
+        # blocks of 128 rows from 60 and 188: rows on both sides of a block
+        # boundary equal the stream drawn alone, and a freshly keyed Philox
+        noise = NoiseModel(sigma, seed=21)
+        first, second = np.empty((128, 37)), np.empty((128, 37))
+        noise.fill(60, first)
+        noise.fill(188, second)
+        for i in (0, 1, 127):
+            for start, block in ((60, first), (188, second)):
+                fresh = np.random.Generator(np.random.Philox(
+                    key=np.array([21, start + i], dtype=np.uint64)))
+                np.testing.assert_array_equal(block[i], noise.sequence(start + i, 37))
+                np.testing.assert_array_equal(block[i], fresh.normal(0.0, sigma, 37))
 
     def test_negative_sigma_rejected(self):
         with pytest.raises(ValueError):
