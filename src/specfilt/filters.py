@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, fields
 from typing import Callable, ClassVar, Union
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import gammaincc, gammainccinv
 
 __all__ = [
@@ -320,17 +320,18 @@ def _ct_unit_mismatch(k1, a: float, dk: float):
     return _ct_kernel(k1, a, dk, 1.0) / _ct_kernel(k1, a, dk, 0.0) - 0.5
 
 
-def _gh_weights(m: int) -> tuple[list[float], list[float], list[float]]:
+@functools.cache
+def _gh_weights(m: int) -> tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...]]:
     # phi_j = pi^(1/4) psi_j, the normalized Hermite functions scaled to
     # phi_0 = exp(-y^2/2), obey phi_j = up_j y phi_{j-1} - down_j phi_{j-2};
     # the kernel series weighs phi_2n with (-1)^n c_n, c_n = c_{n-1}
     # sqrt((2n-1)/(2n)) <= 1, so no weight grows and no factorial appears.
-    up = [0.0] + [math.sqrt(2.0 / j) for j in range(1, 2 * m + 1)]
-    down = [0.0] + [math.sqrt((j - 1) / j) for j in range(1, 2 * m + 1)]
+    up = (0.0, *(math.sqrt(2.0 / j) for j in range(1, 2 * m + 1)))
+    down = (0.0, *(math.sqrt((j - 1) / j) for j in range(1, 2 * m + 1)))
     c = [1.0]
     for n in range(1, m + 1):
         c.append(-c[-1] * math.sqrt((2 * n - 1) / (2 * n)))
-    return up, down, c
+    return up, down, tuple(c)
 
 
 def _gh_sum(y, m: int, env=None):
@@ -421,12 +422,76 @@ def kernel(spec: FilterSpec, x):
     return out if out.ndim else float(out)
 
 
-def _first_root(f: Callable, lo: float, hi: float) -> float:
-    """First sign change of f on a 240-point log-spaced scan of [lo, hi], polished by brentq.
+_RTOL_MIN = 4 * sys.float_info.epsilon
 
-    f is called once with the whole scan as an array, then with floats.  The
-    relative tolerance alone ends the polish, at brentq's floor of 4 ulp, so
-    the root is as accurate at every scale.
+
+def _brentq(f: Callable, xa: float, xb: float, xtol: float = 2e-12,
+            rtol: float = _RTOL_MIN, maxiter: int = 100) -> float:
+    """Root of f in [xa, xb] by Brent's method, step for step scipy's brentq.c.
+
+    The same IEEE operations run in the same order, so every root equals
+    scipy.optimize.brentq's bit for bit, and its checks and messages are the
+    same: ValueError for a bad tolerance, a same-sign bracket or a NaN from
+    f, RuntimeError when maxiter steps do not converge.
+    """
+    if xtol <= 0:
+        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
+    if rtol < _RTOL_MIN:
+        raise ValueError(f"rtol too small ({rtol:g} < {_RTOL_MIN:g})")
+
+    def call(x: float) -> float:
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    xpre, xcur = float(xa), float(xb)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):  # neither is 0 or NaN, so < 0 is C's signbit
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            bound = 3 * abs(sbis) - delta
+            if 2 * abs(stry) < (abs(spre) if abs(spre) < bound else bound):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = call(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
+
+
+def _first_root(f: Callable, lo: float, hi: float) -> float:
+    """First sign change of f on a 240-point log-spaced scan of [lo, hi], polished by _brentq.
+
+    f is called once with the whole scan as an array, then with floats.
+    _brentq is a private port of scipy's brentq and gives its roots bit for
+    bit.  The relative tolerance alone ends the polish, at brentq's floor of
+    4 ulp, so the root is as accurate at every scale.
     """
     grid = np.geomspace(lo, hi, 240)
     neg = f(grid) < 0.0
@@ -436,7 +501,7 @@ def _first_root(f: Callable, lo: float, hi: float) -> float:
             f"no sign change of the calibration residual in [{lo:g}, {hi:g}]"
         )
     i = flips[0]
-    return float(brentq(f, grid[i], grid[i + 1], xtol=1e-300, rtol=8.9e-16))
+    return _brentq(f, grid[i], grid[i + 1], xtol=1e-300, rtol=8.9e-16)
 
 
 def _half_height_mismatch(spec: FilterSpec, x_o: float) -> float:

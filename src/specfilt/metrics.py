@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import exp1, sici
 
 from ._gauss import MAX_PANELS, converged, exp_weighted, gauss_legendre
@@ -24,6 +23,7 @@ from .filters import (
     FilterSpec,
     GaussHermite,
     RunningAverage,
+    _brentq,
     _gh_y_cut,
     breakpoints,
     ds_cutoff,
@@ -216,8 +216,7 @@ def crossover_eta(which: str = "upper") -> EtaRatio:
         lo, hi = 0.1, 0.3
     else:
         raise ValueError(f"which must be 'upper' or 'lower', got {which!r}")
-    root = brentq(lambda e: mse_ratio_ra_bw(e) - 1.0, lo, hi, xtol=1e-9)
-    return EtaRatio(float(root))
+    return EtaRatio(_brentq(lambda e: mse_ratio_ra_bw(e) - 1.0, lo, hi, xtol=1e-9))
 
 
 def _integral(g, end: float, width: float, cuts=(), var: str = "k",

@@ -23,10 +23,12 @@ def _rows(text, sep=","):
 
 
 def test_import_leaves_out_integrate_and_interpolate():
-    """Starting the command loads neither scipy.integrate nor scipy.interpolate."""
+    """Starting the command loads none of scipy.integrate, scipy.interpolate,
+    scipy.optimize and scipy.linalg; the calibration root polish is a private
+    port of brentq."""
     src = pathlib.Path(specfilt.__file__).resolve().parents[1]
-    code = ("import sys, specfilt.cli; print(sorted(m for m in sys.modules "
-            "if m.startswith(('scipy.integrate', 'scipy.interpolate'))))")
+    code = ("import sys, specfilt.cli; print(sorted(m for m in sys.modules if m.startswith(("
+            "'scipy.integrate', 'scipy.interpolate', 'scipy.optimize', 'scipy.linalg'))))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": str(src)}).stdout
     assert out.strip() == "[]"

@@ -6,6 +6,7 @@ kernels, and closed-form special-function identities.
 """
 
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -16,6 +17,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
+from specfilt import filters, metrics
 from specfilt._gauss import gauss_legendre
 from specfilt.filters import (
     SINC_HALF_CROSSING,
@@ -179,6 +181,79 @@ class TestCalibrationScale:
                     infeasible.add((a, w))
         assert infeasible == {(a, w) for a, first in _CT_FIRST_INFEASIBLE.items()
                               for w in _CT_SPREADS if w >= first}
+
+
+class TestBrentqPort:
+    """filters._brentq, the private port of scipy's brentq, against scipy itself."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        """Route every library solve through both solvers; collect (port, scipy) roots."""
+        pairs = []
+        port = filters._brentq
+
+        def both(f, a, b, **kw):
+            root = port(f, a, b, **kw)
+            pairs.append((root, brentq(f, a, b, **kw)))
+            return root
+
+        monkeypatch.setattr(filters, "_brentq", both)
+        monkeypatch.setattr(metrics, "_brentq", both)
+        return pairs
+
+    @staticmethod
+    def _assert_bitwise(pairs, count):
+        assert len(pairs) == count
+        assert [p.hex() for p, _ in pairs] == [r.hex() for _, r in pairs]
+
+    def test_gh_half_height_roots(self, solves):
+        orders = [*range(1, 201), 1000]
+        for m in orders:
+            filters._gh_half_height_y.__wrapped__(m)
+        self._assert_bitwise(solves, len(orders))
+
+    def test_ct_roots(self, solves):
+        feasible = 0
+        for a, first in _CT_FIRST_INFEASIBLE.items():
+            for w in _CT_SPREADS:
+                try:
+                    calibrate("ct", 1.0, a=a, dk=w)
+                    feasible += 1
+                except CalibrationError:
+                    assert w >= first
+        self._assert_bitwise(solves, feasible)
+
+    def test_special_case_and_crossover_roots(self, solves):
+        special_case("hann", 1.0)
+        special_case("welch_approx", 1.0)
+        metrics.crossover_eta("upper")
+        metrics.crossover_eta("lower")
+        self._assert_bitwise(solves, 4)
+
+    def test_iteration_budget(self):
+        """Each maxiter either converges to scipy's root or fails as scipy does."""
+        def outcome(solver, maxiter):
+            try:
+                return solver(math.tan, 1.0, 2.0, xtol=1e-300, maxiter=maxiter).hex()
+            except RuntimeError as err:
+                return str(err)
+
+        assert [outcome(filters._brentq, n) for n in range(1, 80)] == \
+               [outcome(brentq, n) for n in range(1, 80)]
+
+    @pytest.mark.parametrize("f, a, b, kw", [
+        (lambda x: x * x + 1.0, 0.0, 2.0, {}),
+        (lambda x: math.nan, 0.0, 1.0, {}),
+        (lambda x: math.nan if 1.2 < x < 2.9 else x - 1.5, 0.0, 3.0, {}),
+        (lambda x: x * x - 2.0, 0.0, 2.0, {"maxiter": 2}),
+        (lambda x: x, -1.0, 1.0, {"xtol": 0.0}),
+        (lambda x: x, -1.0, 1.0, {"rtol": 1e-17}),
+    ], ids=["same-sign", "nan-at-end", "nan-in-step", "maxiter", "xtol", "rtol"])
+    def test_errors_match(self, f, a, b, kw):
+        with pytest.raises(Exception) as ref:
+            brentq(f, a, b, **kw)
+        with pytest.raises(ref.type, match=f"^{re.escape(str(ref.value))}$"):
+            filters._brentq(f, a, b, **kw)
 
 
 class TestTransfer:
