@@ -5,7 +5,8 @@ which fills its cache on first use, never at import; only the 32- and
 64-node rules are in use.  ``exp_weighted`` integrates
 exp(-r_j k) g(k) over [0, end_j] for a whole batch of rates r_j at once: g
 is evaluated once on panel nodes shared by every rate of a panel level, so
-only the exponential factor grows with the batch.
+only the exponential factor grows with the batch.  ``integral`` is its
+one-integral form, which raises ``QuadratureError`` on a miss.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Callable
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-__all__ = ["gauss_legendre", "exp_weighted", "converged"]
+__all__ = ["QuadratureError", "gauss_legendre", "exp_weighted", "converged", "integral"]
 
 # Convergence tolerances of the composite rule, shared by mse_numeric and
 # every quadrature route of noise_gain.
@@ -32,6 +33,10 @@ _RATE_SPAN = 8.0
 _BLOCK = 1 << 18
 # Panels one level may use; past it the level fails instead of allocating.
 MAX_PANELS = 1 << 16
+
+
+class QuadratureError(RuntimeError):
+    """Quadrature failed to converge or routes disagree."""
 
 
 @functools.cache
@@ -136,3 +141,20 @@ def exp_weighted(g: Callable[[np.ndarray], np.ndarray], rates, ends, cuts,
                                           np.asarray(cuts, dtype=float)]))
         values[sel], errors[sel] = _composite(g, edges[edges <= top], rates[sel], ends[sel])
     return values, errors
+
+
+def integral(g, end: float, width: float, cuts=(), var: str = "k",
+             unit: float = 1.0) -> float:
+    """integral_0^end g on the composite rule; a miss raises QuadratureError.
+
+    The message names which limit was hit and gives the range of ``var`` in
+    the spec's own units, ``unit`` being one step of g's argument in them.
+    """
+    values, errors = exp_weighted(g, [0.0], [end], cuts, width, np.inf)
+    if not converged(values, errors)[0]:
+        budget = np.isnan(values[0]) and np.isinf(errors[0])  # see exp_weighted
+        limit = (f"it needs more than the {MAX_PANELS} panels allowed" if budget
+                 else "the error estimate missed the tolerance")
+        raise QuadratureError(
+            f"quadrature over {var} in [0, {end * unit:g}] did not converge: {limit}")
+    return float(values[0])

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import shlex
 import sys
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -29,6 +30,7 @@ from .engine import (
     write_spectrum,
 )
 from .filters import (
+    FAMILIES,
     CalibrationError,
     CalibrationResult,
     CosineTerminated,
@@ -38,7 +40,6 @@ from .filters import (
     kernel,
     parse_spec,
     serialize_spec,
-    special_case,
     transfer,
 )
 from .lineshapes import LorentzianLine, NoiseModel
@@ -57,8 +58,6 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERIC = 3
 EXIT_IO = 4
-
-_FAMILIES = ("ra", "bw", "gh", "ct", "tukey", "hann", "welch_approx")
 
 _CONFIG_TYPES = {
     "x0": float, "family": str, "m": int, "a": float, "dk": float, "k1": float,
@@ -184,23 +183,39 @@ def _ct_dk(cfg: RunConfig, x0: float) -> float:
     return cfg.get("dk", 0.5 / x0 if x0 > 0 else 0.5)  # a bad x0 is reported on its own
 
 
-def _validate_family_params(cfg: RunConfig, family: str) -> None:
+# parameter -> (the test a valid value passes, the rule its message states)
+_RANGES = {
+    "x0": (lambda v: v > 0, "must be positive"),
+    "m": (lambda v: v >= 1, "must be an integer >= 1"),
+    "a": (lambda v: v >= 0.5, "must be >= 1/2"),
+    "dk": (lambda v: v > 0, "must be positive"),
+}
+
+
+def _check_ranges(cfg: RunConfig, **values) -> None:
+    """Check each given value against its range, in the order given; None is absent."""
+    for name, value in values.items():
+        valid, rule = _RANGES[name]
+        cfg.check(value is None or valid(value), f"--{name} {rule}, got {value}")
+
+
+def _family_params(cfg: RunConfig, family: str) -> dict:
+    """The m, a and dk to calibrate family with, range-checked.
+
+    gh needs --m; ct's a and dk default to 5 and 0.5/x0.  Every other family
+    gets only the values given, and calibrate rejects those a named variant
+    fixes.
+    """
     x0 = cfg.get("x0", 1.0)
-    cfg.check(x0 > 0, f"--x0 must be positive, got {x0}")
-    if family not in _FAMILIES:
-        cfg.check(False, f"--family must be one of {', '.join(_FAMILIES)}, got {family!r}")
-        return
-    if family == "gh":
-        m = cfg.require("m")
-        if m is not None:
-            cfg.check(m >= 1, f"--m must be an integer >= 1, got {m}")
-    if family in ("ct", "tukey"):
-        dk = _ct_dk(cfg, x0) if family == "ct" else cfg.require("dk")
-        if dk is not None:
-            cfg.check(dk > 0, f"--dk must be positive, got {dk}")
-    if family == "ct":
-        a = cfg.get("a", 5.0)
-        cfg.check(a >= 0.5, f"--a must be >= 1/2, got {a}")
+    _check_ranges(cfg, x0=x0)
+    if family not in FAMILIES:
+        cfg.check(False, f"--family must be one of {', '.join(FAMILIES)}, got {family!r}")
+        return {}
+    params = {"m": cfg.require("m") if family == "gh" else cfg.get("m"),
+              "dk": _ct_dk(cfg, x0) if family == "ct" else cfg.get("dk"),
+              "a": cfg.get("a", 5.0 if family == "ct" else None)}
+    _check_ranges(cfg, **params)
+    return params
 
 
 def _resolve_spec(cfg: RunConfig) -> tuple[FilterSpec, float, CalibrationResult | None]:
@@ -218,19 +233,11 @@ def _resolve_spec(cfg: RunConfig) -> tuple[FilterSpec, float, CalibrationResult 
         except ValueError as exc:
             raise ValidationFailure([f"bad spec file {spec_path}: {exc}"]) from None
     family = cfg.require("family")
-    if family is not None:
-        _validate_family_params(cfg, family)
-    if cfg.get("k1") is not None and family == "ct":
-        cfg.finish()
-        spec = CosineTerminated(cfg.get("k1"), cfg.get("a", 5.0), _ct_dk(cfg, x0))
-        return spec, x0, None
+    params = _family_params(cfg, family) if family is not None else {}
     cfg.finish()
-    if family in ("tukey", "hann", "welch_approx"):
-        spec = special_case(family, x0, dk=cfg.get("dk"))
-        b0 = float(kernel(spec, 0.0))
-        residual = abs(float(kernel(spec, x0)) / b0 - 0.5)
-        return spec, x0, CalibrationResult(spec, x0, residual)
-    result = calibrate(family, x0, m=cfg.get("m"), a=cfg.get("a", 5.0), dk=_ct_dk(cfg, x0))
+    if cfg.get("k1") is not None and family == "ct":
+        return CosineTerminated(cfg.get("k1"), params["a"], params["dk"]), x0, None
+    result = calibrate(family, x0, **params)
     return result.spec, x0, result
 
 
@@ -297,7 +304,7 @@ def cmd_sweep(cfg: RunConfig, command: str) -> int:
     cfg.check(kind in ("ra-bw", "gh", "ct", "compare"),
               f"--kind must be ra-bw, gh, ct, or compare, got {kind!r}")
     x0 = cfg.get("x0", 1.0)
-    cfg.check(x0 > 0, f"--x0 must be positive, got {x0}")
+    _check_ranges(cfg, x0=x0)
     etas = _eta_grid(cfg)
     cfg.finish()
 
@@ -334,7 +341,7 @@ def cmd_sweep(cfg: RunConfig, command: str) -> int:
         dk_list = cfg.get("dk_list")
         dks = ([s / x0 for s in (0.2, 0.5, 1.0)] if dk_list is None
                else _parse_list(dk_list, float, "--dk-list", cfg))
-        cfg.check(a >= 0.5, f"--a must be >= 1/2, got {a}")
+        _check_ranges(cfg, a=a)
         cfg.finish()
         specs = {dk: calibrate("ct", x0, a=a, dk=dk).spec for dk in dks}
         meta += [f"spec_ct_dk{dk}: {_spec_line(s)}" for dk, s in specs.items()]
@@ -365,10 +372,7 @@ def cmd_noise(cfg: RunConfig, command: str) -> int:
     dk = _ct_dk(cfg, x0)
     trials = cfg.get("trials", 0)
     grid_n = cfg.get("grid_n", 256)
-    cfg.check(x0 > 0, f"--x0 must be positive, got {x0}")
-    cfg.check(m >= 1, f"--m must be an integer >= 1, got {m}")
-    cfg.check(a >= 0.5, f"--a must be >= 1/2, got {a}")
-    cfg.check(dk > 0, f"--dk must be positive, got {dk}")
+    _check_ranges(cfg, x0=x0, m=m, a=a, dk=dk)
     cfg.check(trials == 0 or trials >= 100,
               f"--trials must be 0 (analytic only) or >= 100, got {trials}")
     if trials > 0:
@@ -486,31 +490,34 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"specfilt {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--x0", type=float, help="direct-space half-width for calibration")
-    common.add_argument("--family", choices=_FAMILIES, help="filter family")
-    common.add_argument("--m", type=int, help="gauss-hermite order")
-    common.add_argument("--a", type=float, help="cosine-terminated steepness")
-    common.add_argument("--dk", type=float, help="cosine-terminated spread (ct default 0.5/x0)")
-    common.add_argument("--k1", type=float, help="explicit cosine-terminated onset (skips calibration)")
-    common.add_argument("--eta", type=float, help="single gamma/x_o ratio")
-    common.add_argument("--out", help="output path (default stdout)")
-    common.add_argument("--format", choices=("csv", "tsv"), help="column separator")
-    common.add_argument("--seed", type=int, help="reproducibility seed")
-    common.add_argument("--no-timestamp", action="store_const", const=True,
-                        help="suppress the timestamp header line")
-    common.add_argument("--config", help="key=value config file; flags take precedence")
-    common.add_argument("--spec", help="read a serialized filter spec instead of calibrating")
+    # flag groups; each subcommand declares only the flags it reads
+    params = argparse.ArgumentParser(add_help=False)
+    params.add_argument("--x0", type=float, help="direct-space half-width for calibration")
+    params.add_argument("--m", type=int, help="gauss-hermite order")
+    params.add_argument("--a", type=float, help="cosine-terminated steepness")
+    params.add_argument("--dk", type=float, help="cosine-terminated spread (ct default 0.5/x0)")
+    spec = argparse.ArgumentParser(add_help=False, parents=[params])
+    spec.add_argument("--family", choices=FAMILIES, help="filter family")
+    spec.add_argument("--k1", type=float, help="explicit cosine-terminated onset (skips calibration)")
+    spec.add_argument("--spec", help="read a serialized filter spec instead of calibrating")
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument("--out", help="output path (default stdout)")
+    run.add_argument("--no-timestamp", action="store_const", const=True,
+                     help="suppress the timestamp header line")
+    run.add_argument("--config", help="key=value config file; flags take precedence")
+    table = argparse.ArgumentParser(add_help=False, parents=[run])
+    table.add_argument("--format", choices=("csv", "tsv"), help="column separator")
 
-    sub.add_parser("calibrate", parents=[common],
+    sub.add_parser("calibrate", parents=[spec, run],
                    help="calibrate a filter to b(x_o)/b(0) = 1/2")
     for name in ("kernel", "transfer"):
-        p = sub.add_parser(name, parents=[common], help=f"tabulate the {name}")
+        p = sub.add_parser(name, parents=[spec, table], help=f"tabulate the {name}")
         p.add_argument("--min", type=float)
         p.add_argument("--max", type=float)
         p.add_argument("--points", type=int)
 
-    p = sub.add_parser("sweep", parents=[common], help="eta sweeps of MSE ratios")
+    p = sub.add_parser("sweep", parents=[params, table], help="eta sweeps of MSE ratios")
+    p.add_argument("--eta", type=float, help="single gamma/x_o ratio")
     p.add_argument("--kind", choices=("ra-bw", "gh", "ct", "compare"))
     p.add_argument("--eta-min", type=float)
     p.add_argument("--eta-max", type=float)
@@ -518,15 +525,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m-list", help="comma-separated gauss-hermite orders")
     p.add_argument("--dk-list", help="comma-separated cosine-terminated spreads (default 0.2,0.5,1.0 over x0)")
 
-    p = sub.add_parser("noise", parents=[common], help="noise transmission table")
+    p = sub.add_parser("noise", parents=[params, table], help="noise transmission table")
+    p.add_argument("--seed", type=int, help="reproducibility seed")
     p.add_argument("--trials", type=int, help="Monte Carlo trials (0 = analytic only)")
     p.add_argument("--grid-n", type=int, help="Monte Carlo grid half-size")
 
-    p = sub.add_parser("apply", parents=[common], help="filter a two-column spectrum file")
+    p = sub.add_parser("apply", parents=[spec, run], help="filter a two-column spectrum file")
     p.add_argument("--in", dest="infile", help="input spectrum path")
     p.add_argument("--path", choices=("rs", "ds"), help="application route")
 
-    p = sub.add_parser("gibbs", parents=[common], help="cutoff-oscillation residual reports")
+    p = sub.add_parser("gibbs", parents=[spec, table], help="cutoff-oscillation residual reports")
     p.add_argument("--gamma-list", help="comma-separated line half-widths")
     p.add_argument("--min", type=float)
     p.add_argument("--max", type=float)
@@ -553,7 +561,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = _build_parser()
     args = parser.parse_args(argv)
-    command = "specfilt " + " ".join(argv)
+    command = "specfilt " + shlex.join(argv)
     try:
         cfg = RunConfig(args, _load_config_file(getattr(args, "config", None)))
         return _DISPATCH[args.subcommand](cfg, command)

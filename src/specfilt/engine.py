@@ -301,6 +301,8 @@ def read_spectrum(path: str) -> tuple[Spectrum, float, float]:
             f"{path}: need an odd number of points (2N+1, N >= 1), got {count}"
         )
     x, vals = np.ascontiguousarray(data.T)
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"{path}: non-finite x values")
     steps = np.diff(x)
     dx = float(np.mean(steps))
     if dx <= 0:

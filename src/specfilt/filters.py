@@ -2,11 +2,13 @@
 
 Each family is one immutable spec class carrying its reciprocal-space
 parameters, and that class is the one place where the family is defined:
-transfer B(k), kernel b(x), breakpoints and cutoffs, calibration and its
-serialization tag.  The module functions check that they were given a spec
-and ask its class: ``transfer`` evaluates B(k), ``kernel`` b(x), and
-``calibrate`` fixes a family's free parameter so that b(x_o)/b(0) = 1/2 for
-a requested direct-space half-width x_o.
+transfer B(k), kernel b(x), breakpoints and cutoffs, calibration, the two
+white-noise integrals and its serialization tag.  The module functions check
+that they were given a spec and ask its class: ``transfer`` evaluates B(k),
+``kernel`` b(x), and ``calibrate`` fixes a family's free parameter so that
+b(x_o)/b(0) = 1/2 for a requested direct-space half-width x_o.  The named
+cosine-terminated variants (tukey, hann, welch_approx) calibrate through the
+same ``calibrate``; ``FAMILIES`` lists every name it accepts.
 """
 
 from __future__ import annotations
@@ -18,10 +20,13 @@ from dataclasses import dataclass, fields
 from typing import Callable, ClassVar, Union
 
 import numpy as np
-from scipy.special import gammaincc, gammainccinv
+from scipy.special import exp1, gammaincc, gammainccinv, sici
+
+from ._gauss import integral
 
 __all__ = [
     "SINC_HALF_CROSSING",
+    "FAMILIES",
     "RunningAverage",
     "BrickWall",
     "GaussHermite",
@@ -58,11 +63,21 @@ def _sinc(t: np.ndarray) -> np.ndarray:
     return np.sinc(t / np.pi)
 
 
+def _sinc2_to_inf() -> float:
+    """integral_0^inf sin(t)^2/t^2 dt: quadrature up to u = 40, the tail by the sine integral."""
+    u = 40.0
+    tail = np.sin(u) ** 2 / u + 0.5 * np.pi - sici(2.0 * u)[0]
+    return integral(lambda t: _sinc(t) ** 2, u, 1.0, var="t") + tail
+
+
 class _Family:
     """Defaults of the spec classes, which override what they have in closed form.
 
     Every family defines ``tag``, ``_transfer``, ``_kernel``,
-    ``_half_transfer_point`` and the ``_calibrated`` classmethod.  Methods
+    ``_half_transfer_point``, ``_noise_integrals`` and the ``_calibrated``
+    classmethod.  ``_noise_integrals`` returns (ds, rs): the integral of
+    b(x)^2 over x and of B(k)^2 over k / (2 pi), by routes that share no
+    evaluation, so that ``noise_gain`` can hold them to Parseval.  Methods
     call the module functions (``kernel``, ``gh_kernel_quadrature``, ...),
     not each other, so that a wrapper bound to those names sees every call;
     only the calibration scans, which run at unit scale on no spec, call
@@ -81,10 +96,6 @@ class _Family:
         scale = 1.0 / half_transfer_point(self)
         b0 = float(kernel(self, 0.0))
         return _first_root(lambda x: kernel(self, x) / b0 - 0.5, 1e-4 * scale, 1e3 * scale)
-
-    def _residual(self, x_o: float) -> float:
-        """|b(x_o)/b(0) - 1/2| achieved by a calibration."""
-        return abs(_half_height_mismatch(self, x_o))
 
     def _derived(self) -> dict[str, float]:
         """Keys written after the fields that follow from them; parse_spec checks them."""
@@ -116,6 +127,10 @@ class RunningAverage(_Family):
 
     def _ds_cutoff(self) -> float:
         return self.x_o
+
+    def _noise_integrals(self) -> tuple[float, float]:
+        ds = 1.0 / (2.0 * self.x_o)                      # exact box integral
+        return ds, _sinc2_to_inf() / (np.pi * self.x_o)
 
     @classmethod
     def _calibrated(cls, x_o: float, **_) -> RunningAverage:
@@ -150,6 +165,10 @@ class BrickWall(_Family):
 
     def _ds_cutoff(self) -> float:
         return SINC_HALF_CROSSING / self.k_o
+
+    def _noise_integrals(self) -> tuple[float, float]:
+        rs = self.k_o / np.pi                            # exact box integral
+        return 2.0 * self.k_o * _sinc2_to_inf() / np.pi**2, rs
 
     @classmethod
     def _calibrated(cls, x_o: float, **_) -> BrickWall:
@@ -191,6 +210,18 @@ class GaussHermite(_Family):
 
     def _half_transfer_point(self) -> float:
         return self.k_s * float(np.sqrt(gammainccinv(self.m + 1, 0.5)))
+
+    def _noise_integrals(self) -> tuple[float, float]:
+        rs = integral(lambda k: transfer(self, k) ** 2, support_cutoff(self),
+                      _panel_width(self)) / np.pi
+        # At k_s = 2 the kernel's argument is y = k_s x / 2 itself, and
+        # b(x) = (k_s / 2) b_2(y), so ds is k_s times the unit integral.  b_2^2
+        # oscillates at most at twice its transfer's support: each panel
+        # spans about four such periods.
+        unit = GaussHermite(self.m, 2.0)
+        ds = self.k_s * integral(lambda y: kernel(unit, y) ** 2, _gh_y_cut(unit.m),
+                                 12.0 / support_cutoff(unit), var="x", unit=2.0 / self.k_s)
+        return ds, rs
 
     @classmethod
     def _calibrated(cls, x_o: float, *, m: int | None = None, **_) -> GaussHermite:
@@ -235,6 +266,22 @@ class CosineTerminated(_Family):
 
     def _derived(self) -> dict[str, float]:
         return {"k_2": k2_of(self)}
+
+    def _noise_integrals(self) -> tuple[float, float]:
+        # Both routes run at unit spread: B(k) = B_1(k/dk) and
+        # b(x) = dk * b_1(dk * x), so each integral is dk times its unit-spread
+        # value.  Panels and tail then depend on k_1/dk and a alone, not on
+        # the physical scale.  Past x = 12 + 1/dk (at unit spread) the ds tail
+        # is a closed form in exponential integrals, so ds never evaluates
+        # the transfer.
+        unit = CosineTerminated(self.k_1 / self.dk, self.a, 1.0)
+        k2 = k2_of(unit)
+        rs = self.dk * integral(lambda k: transfer(unit, k) ** 2, k2, _panel_width(unit),
+                                breakpoints(unit), unit=self.dk) / np.pi
+        split = 12.0 + 1.0 / unit.dk
+        head = integral(lambda x: kernel(unit, x) ** 2, split, 1.0 / k2, var="x",
+                        unit=1.0 / self.dk)
+        return self.dk * 2.0 * (head + _ct_ds_tail(unit, split)), rs
 
     @classmethod
     def _calibrated(cls, x_o: float, *, a: float | None = None, dk: float | None = None,
@@ -298,6 +345,15 @@ def half_transfer_point(spec: FilterSpec) -> float:
     return _checked(spec)._half_transfer_point()
 
 
+def _panel_width(spec: FilterSpec) -> float:
+    # Length over which (1-B)^2 changes: the fall from B = 1/2 to the support
+    # cutoff, capped at the half-transfer point, which is the scale itself
+    # where that fall is a step (bw) or there is no cutoff (ra).
+    k_half = half_transfer_point(spec)
+    end = support_cutoff(spec)
+    return min(k_half, end - k_half) if end is not None and end > k_half else k_half
+
+
 def _ct_kernel(k1, a: float, dk: float, x):
     """The ct kernel b(x), broadcasting over the onset k1 and the position x.
 
@@ -318,6 +374,64 @@ def _ct_kernel(k1, a: float, dk: float, x):
 def _ct_unit_mismatch(k1, a: float, dk: float):
     """b(1)/b(0) - 1/2 of the ct kernel, broadcasting over k1 or dk."""
     return _ct_kernel(k1, a, dk, 1.0) / _ct_kernel(k1, a, dk, 0.0) - 0.5
+
+
+def _ct_sin_terms(spec: CosineTerminated):
+    # For |x| away from 0 and 1/dk the kernel is exactly a six-term sum
+    # A * sin(w x + phi) / (x - c); used for the far tail of integral b^2 dx.
+    k1, a, d = spec.k_1, spec.a, 1.0 / spec.dk
+    k2 = k2_of(spec)
+    psi = np.arccos(1.0 - 1.0 / a)
+    pi = np.pi
+    return (
+        (a / pi, k1, 0.0, 0.0),
+        ((1.0 - a) / pi, k2, 0.0, 0.0),
+        (a / (2 * pi), k2, psi, -d),
+        (-a / (2 * pi), k1, 0.0, -d),
+        (a / (2 * pi), k2, -psi, d),
+        (-a / (2 * pi), k1, 0.0, d),
+    )
+
+
+def _exp_over_t(omega: float, psi: float, u: float) -> complex:
+    """integral_u^inf exp(i(omega t + psi))/t dt = e^{i psi} E1(-i omega u), omega, u > 0.
+
+    The real part is -cos(psi) Ci(omega u) + sin(psi) (Si(omega u) - pi/2), but
+    E1 keeps the relative accuracy that pi/2 - Si loses at large omega u.
+    """
+    return np.exp(1j * psi) * exp1(-1j * omega * u)
+
+
+def _cos_over_poles(omega: float, phi: float, ci: float, cj: float, lo: float) -> float:
+    """integral_lo^inf cos(omega x + phi) / ((x-ci)(x-cj)) dx in closed form."""
+    if omega < 0.0:
+        omega, phi = -omega, -phi
+    if omega == 0.0:
+        if ci == cj:
+            base = 1.0 / (lo - ci)
+        else:
+            base = np.log((lo - cj) / (lo - ci)) / (ci - cj)
+        return np.cos(phi) * base
+    if ci == cj:
+        # by parts: integral_u^inf cos(omega t + psi)/t^2 dt with t = x - c
+        u = lo - ci
+        return np.cos(omega * lo + phi) / u - omega * _exp_over_t(omega, phi + omega * ci, u).imag
+    # partial fractions: 1/((x-ci)(x-cj)) = (1/(x-ci) - 1/(x-cj)) / (ci - cj)
+    near = _exp_over_t(omega, phi + omega * ci, lo - ci)
+    far = _exp_over_t(omega, phi + omega * cj, lo - cj)
+    return (near - far).real / (ci - cj)
+
+
+def _ct_ds_tail(spec: CosineTerminated, lo: float) -> float:
+    """integral_lo^inf b(x)^2 dx in closed form, from the pairwise product-to-sum expansion."""
+    terms = _ct_sin_terms(spec)
+    total = 0.0
+    for a_i, w_i, p_i, c_i in terms:
+        for a_j, w_j, p_j, c_j in terms:
+            coeff = 0.5 * a_i * a_j
+            total += coeff * _cos_over_poles(w_i - w_j, p_i - p_j, c_i, c_j, lo)
+            total -= coeff * _cos_over_poles(w_i + w_j, p_i + p_j, c_i, c_j, lo)
+    return total
 
 
 @functools.cache
@@ -504,50 +618,68 @@ def _first_root(f: Callable, lo: float, hi: float) -> float:
     return _brentq(f, grid[i], grid[i + 1], xtol=1e-300, rtol=8.9e-16)
 
 
-def _half_height_mismatch(spec: FilterSpec, x_o: float) -> float:
-    """b(x_o)/b(0) - 1/2, the residual whose root calibrates a spec."""
-    return float(kernel(spec, x_o)) / float(kernel(spec, 0.0)) - 0.5
+def _tukey(x_o: float, *, dk: float | None = None, **_) -> CosineTerminated:
+    if dk is None:
+        raise ValueError("tukey requires a chosen dk")
+    return CosineTerminated._calibrated(x_o, a=0.5, dk=dk)
+
+
+def _ct_onset_at_zero(steepness: float, x_o: float, **_) -> CosineTerminated:
+    # k_1 = 0 leaves dk free: solve for w = dk x_o at unit scale
+    w = _first_root(lambda w: _ct_unit_mismatch(0.0, steepness, w), 1e-6, 1e3)
+    return CosineTerminated(0.0, steepness, w / x_o)
+
+
+# Every name calibrate accepts -> (its calibration, the ct parameters it fixes).
+# The named variants are ct specs: tukey fixes a = 1/2 and calibrates k_1 at
+# the caller's dk; hann (a = 1/2) and welch_approx (a = 1) fix k_1 = 0 and
+# calibrate dk.
+_CALIBRATIONS = {
+    **{tag: (cls._calibrated, ()) for tag, cls in _BY_TAG.items()},
+    "tukey": (_tukey, ("a",)),
+    "hann": (functools.partial(_ct_onset_at_zero, 0.5), ("a", "dk")),
+    "welch_approx": (functools.partial(_ct_onset_at_zero, 1.0), ("a", "dk")),
+}
+FAMILIES = tuple(_CALIBRATIONS)
 
 
 def calibrate(family: str, x_o: float, *, m: int | None = None,
               a: float | None = None, dk: float | None = None) -> CalibrationResult:
     """Fix a family's free parameter so its kernel satisfies b(x_o)/b(0) = 1/2.
 
-    Free parameter by family: ra -> x_o itself, bw -> k_o, gh -> k_s (m fixed),
-    ct -> k_1 (a and dk fixed).  Each family solves its half-height condition
-    once, at unit scale, in its dimensionless parameter (k_1 x_o for ct, k_s
-    x_o for gh; bw is the closed form SINC_HALF_CROSSING / x_o), and divides
-    by x_o at the end.  Raises CalibrationError when no root lies in the
-    dimensionless bracket [1e-6, 1e3] (for ct the residual at k_1 = 0 is
+    family is any name in FAMILIES.  Free parameter by family: ra -> x_o
+    itself, bw -> k_o, gh -> k_s (m fixed), ct -> k_1 (a and dk fixed).  The
+    named variants are ct specs: tukey -> k_1 (a = 1/2, dk fixed), hann ->
+    dk (k_1 = 0, a = 1/2, so B = (1 + cos(k/dk))/2 on [0, pi*dk]) and
+    welch_approx -> dk (k_1 = 0, a = 1).  Each solves its half-height
+    condition once, at unit scale, in its dimensionless parameter (k_1 x_o
+    for ct and tukey, k_s x_o for gh, dk x_o for hann and welch_approx; bw
+    is the closed form SINC_HALF_CROSSING / x_o), and divides by x_o at the
+    end.  The residual is |b(x_o)/b(0) - 1/2| of the spec found.
+
+    Raises ValueError for a parameter the family needs and lacks, or one
+    that a named variant sets itself (a for all three, dk for hann and
+    welch_approx), and CalibrationError when no root lies in
+    the dimensionless bracket [1e-6, 1e3] (for ct the residual at k_1 = 0 is
     reported as well, since large dk can make every k_1 >= 0 overshoot the
     half-height point).
     """
     if not x_o > 0:
         raise ValueError(f"calibration requires x_o > 0, got {x_o}")
-    cls = _BY_TAG.get(family)
-    if cls is None:
-        raise ValueError(f"unknown filter family {family!r}")
-    spec = cls._calibrated(x_o, m=m, a=a, dk=dk)
-    return CalibrationResult(spec, x_o, spec._residual(x_o))
+    if family not in _CALIBRATIONS:
+        raise ValueError(f"unknown filter family {family!r} (expected {', '.join(FAMILIES)})")
+    calibrated, fixed = _CALIBRATIONS[family]
+    for name, value in (("a", a), ("dk", dk)):
+        if name in fixed and value is not None:
+            raise ValueError(f"{family} sets {name} itself, got {name}={value!r}")
+    spec = calibrated(x_o, m=m, a=a, dk=dk)
+    residual = abs(float(kernel(spec, x_o)) / float(kernel(spec, 0.0)) - 0.5)
+    return CalibrationResult(spec, x_o, residual)
 
 
 def special_case(name: str, x_o: float, *, dk: float | None = None) -> FilterSpec:
-    """Named cosine-terminated variants.
-
-    tukey: a = 1/2 with caller-chosen dk, k_1 calibrated.  hann: k_1 = 0,
-    a = 1/2, dk calibrated (B = (1 + cos(k/dk))/2 on [0, pi*dk]).
-    welch_approx: k_1 = 0, a = 1, dk calibrated.  Both solve for w = dk x_o
-    at unit scale.
-    """
-    if name == "tukey":
-        if dk is None:
-            raise ValueError("tukey requires a chosen dk")
-        return calibrate("ct", x_o, a=0.5, dk=dk).spec
-    if name in ("hann", "welch_approx"):
-        a = 0.5 if name == "hann" else 1.0
-        w = _first_root(lambda w: _ct_unit_mismatch(0.0, a, w), 1e-6, 1e3)
-        return CosineTerminated(0.0, a, w / x_o)
-    raise ValueError(f"unknown special case {name!r} (expected tukey, hann, welch_approx)")
+    """The spec of calibrate(name, x_o, dk=dk), for the named ct variants."""
+    return calibrate(name, x_o, dk=dk).spec
 
 
 def ds_cutoff(spec: FilterSpec) -> float:

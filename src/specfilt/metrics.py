@@ -13,23 +13,19 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import exp1, sici
 
-from ._gauss import MAX_PANELS, converged, exp_weighted, gauss_legendre
+from ._gauss import QuadratureError, converged, exp_weighted, gauss_legendre
 from .filters import (
     SINC_HALF_CROSSING,
     BrickWall,
-    CosineTerminated,
     FilterSpec,
-    GaussHermite,
     RunningAverage,
     _brentq,
-    _gh_y_cut,
+    _checked,
+    _panel_width,
     breakpoints,
     ds_cutoff,
     half_transfer_point,
-    k2_of,
-    kernel,
     support_cutoff,
     transfer,
 )
@@ -51,10 +47,6 @@ __all__ = [
     "gibbs_residual",
     "estimate_period",
 ]
-
-
-class QuadratureError(RuntimeError):
-    """Quadrature failed to converge or routes disagree."""
 
 
 @dataclass(frozen=True)
@@ -86,15 +78,6 @@ def _k_max_for(line: LorentzianLine, spec: FilterSpec) -> float:
     # the stop-band contribution, not just absolutely small.
     end = support_cutoff(spec) or 0.0
     return max(18.5 / line.gamma, end + 12.5 / line.gamma)
-
-
-def _panel_width(spec: FilterSpec) -> float:
-    # Length over which (1-B)^2 changes: the fall from B = 1/2 to the support
-    # cutoff, capped at the half-transfer point, which is the scale itself
-    # where that fall is a step (bw) or there is no cutoff (ra).
-    k_half = half_transfer_point(spec)
-    end = support_cutoff(spec)
-    return min(k_half, end - k_half) if end is not None and end > k_half else k_half
 
 
 def _stop_band_integrals(spec: FilterSpec, rates, ends, scale) -> np.ndarray:
@@ -219,136 +202,21 @@ def crossover_eta(which: str = "upper") -> EtaRatio:
     return EtaRatio(_brentq(lambda e: mse_ratio_ra_bw(e) - 1.0, lo, hi, xtol=1e-9))
 
 
-def _integral(g, end: float, width: float, cuts=(), var: str = "k",
-              unit: float = 1.0) -> float:
-    """integral_0^end g on the Gauss-Legendre core; a miss raises QuadratureError.
-
-    The message names which limit was hit and gives the range of ``var`` in
-    the spec's own units, ``unit`` being one step of g's argument in them.
-    """
-    values, errors = exp_weighted(g, [0.0], [end], cuts, width, np.inf)
-    if not converged(values, errors)[0]:
-        budget = np.isnan(values[0]) and np.isinf(errors[0])  # see exp_weighted
-        limit = (f"it needs more than the {MAX_PANELS} panels allowed" if budget
-                 else "the error estimate missed the tolerance")
-        raise QuadratureError(
-            f"quadrature over {var} in [0, {end * unit:g}] did not converge: {limit}")
-    return float(values[0])
-
-
-def _sinc2_tail(u: float) -> float:
-    """integral_u^inf sin(t)^2/t^2 dt via the sine integral."""
-    si_2u = sici(2.0 * u)[0]
-    return np.sin(u) ** 2 / u + 0.5 * np.pi - si_2u
-
-
-def _sinc2_to_inf() -> float:
-    u = 40.0
-    return _integral(lambda t: np.sinc(t / np.pi) ** 2, u, 1.0, var="t") + _sinc2_tail(u)
-
-
-def _ct_sin_terms(spec: CosineTerminated):
-    # For |x| away from 0 and 1/dk the kernel is exactly a six-term sum
-    # A * sin(w x + phi) / (x - c); used for the far tail of integral b^2 dx.
-    k1, a, d = spec.k_1, spec.a, 1.0 / spec.dk
-    k2 = k2_of(spec)
-    psi = np.arccos(1.0 - 1.0 / a)
-    pi = np.pi
-    return (
-        (a / pi, k1, 0.0, 0.0),
-        ((1.0 - a) / pi, k2, 0.0, 0.0),
-        (a / (2 * pi), k2, psi, -d),
-        (-a / (2 * pi), k1, 0.0, -d),
-        (a / (2 * pi), k2, -psi, d),
-        (-a / (2 * pi), k1, 0.0, d),
-    )
-
-
-def _exp_over_t(omega: float, psi: float, u: float) -> complex:
-    """integral_u^inf exp(i(omega t + psi))/t dt = e^{i psi} E1(-i omega u), omega, u > 0.
-
-    The real part is -cos(psi) Ci(omega u) + sin(psi) (Si(omega u) - pi/2), but
-    E1 keeps the relative accuracy that pi/2 - Si loses at large omega u.
-    """
-    return np.exp(1j * psi) * exp1(-1j * omega * u)
-
-
-def _cos_over_poles(omega: float, phi: float, ci: float, cj: float, lo: float) -> float:
-    """integral_lo^inf cos(omega x + phi) / ((x-ci)(x-cj)) dx in closed form."""
-    if omega < 0.0:
-        omega, phi = -omega, -phi
-    if omega == 0.0:
-        if ci == cj:
-            base = 1.0 / (lo - ci)
-        else:
-            base = np.log((lo - cj) / (lo - ci)) / (ci - cj)
-        return np.cos(phi) * base
-    if ci == cj:
-        # by parts: integral_u^inf cos(omega t + psi)/t^2 dt with t = x - c
-        u = lo - ci
-        return np.cos(omega * lo + phi) / u - omega * _exp_over_t(omega, phi + omega * ci, u).imag
-    # partial fractions: 1/((x-ci)(x-cj)) = (1/(x-ci) - 1/(x-cj)) / (ci - cj)
-    near = _exp_over_t(omega, phi + omega * ci, lo - ci)
-    far = _exp_over_t(omega, phi + omega * cj, lo - cj)
-    return (near - far).real / (ci - cj)
-
-
-def _ct_ds_tail(spec: CosineTerminated, lo: float) -> float:
-    """integral_lo^inf b(x)^2 dx in closed form, from the pairwise product-to-sum expansion."""
-    terms = _ct_sin_terms(spec)
-    total = 0.0
-    for a_i, w_i, p_i, c_i in terms:
-        for a_j, w_j, p_j, c_j in terms:
-            coeff = 0.5 * a_i * a_j
-            total += coeff * _cos_over_poles(w_i - w_j, p_i - p_j, c_i, c_j, lo)
-            total -= coeff * _cos_over_poles(w_i + w_j, p_i + p_j, c_i, c_j, lo)
-    return total
-
-
 def noise_gain(spec: FilterSpec) -> NoiseReport:
     """White-noise power transmission along both integral routes.
 
     ds_value integrates the squared kernel over x, rs_value the squared
-    transfer over k (with the 1/2pi convention); Parseval forces equality, and
-    a mismatch beyond 1e-9 relative is raised as a numeric failure.  RA ds and
-    BW rs are closed forms.  Every other integral up to a finite end runs on
-    the Gauss-Legendre core of mse_numeric, and a missed error estimate raises
-    QuadratureError; GH ds integrates the closed-form kernel up to the point
-    past which it is exactly zero.  Past x = 12 + 1/dk (at unit spread) the
-    CT ds tail is a closed form in exponential integrals, so CT ds never
-    evaluates the transfer.
+    transfer over k (with the 1/2pi convention); each spec class chooses its
+    own two routes (``_noise_integrals`` in filters).  Parseval forces
+    equality, and a mismatch beyond 1e-9 relative is raised as a numeric
+    failure.  RA ds and BW rs are closed forms.  Every other integral up to a
+    finite end runs on the Gauss-Legendre core of mse_numeric, and a missed
+    error estimate raises QuadratureError; GH ds integrates the closed-form
+    kernel up to the point past which it is exactly zero, and the CT ds tail
+    is a closed form in exponential integrals, so CT ds never evaluates the
+    transfer.
     """
-    if isinstance(spec, RunningAverage):
-        ds = 1.0 / (2.0 * spec.x_o)                      # exact box integral
-        rs = _sinc2_to_inf() / (np.pi * spec.x_o)
-    elif isinstance(spec, BrickWall):
-        rs = spec.k_o / np.pi                            # exact box integral
-        ds = 2.0 * spec.k_o * _sinc2_to_inf() / np.pi**2
-    elif isinstance(spec, GaussHermite):
-        rs = _integral(lambda k: transfer(spec, k) ** 2, support_cutoff(spec),
-                       _panel_width(spec)) / np.pi
-        # At k_s = 2 the kernel's argument is y = k_s x / 2 itself, and
-        # b(x) = (k_s / 2) b_2(y), so ds is k_s times the unit integral.  b_2^2
-        # oscillates at most at twice its transfer's support: each panel
-        # spans about four such periods.
-        unit = GaussHermite(spec.m, 2.0)
-        ds = spec.k_s * _integral(lambda y: kernel(unit, y) ** 2, _gh_y_cut(unit.m),
-                                  12.0 / support_cutoff(unit), var="x", unit=2.0 / spec.k_s)
-    elif isinstance(spec, CosineTerminated):
-        # Both routes run at unit spread: B(k) = B_1(k/dk) and
-        # b(x) = dk * b_1(dk * x), so each integral is dk times its unit-spread
-        # value.  Panels and tail then depend on k_1/dk and a alone, not on
-        # the physical scale.
-        unit = CosineTerminated(spec.k_1 / spec.dk, spec.a, 1.0)
-        k2 = k2_of(unit)
-        rs = spec.dk * _integral(lambda k: transfer(unit, k) ** 2, k2, _panel_width(unit),
-                                 breakpoints(unit), unit=spec.dk) / np.pi
-        split = 12.0 + 1.0 / unit.dk
-        head = _integral(lambda x: kernel(unit, x) ** 2, split, 1.0 / k2, var="x",
-                         unit=1.0 / spec.dk)
-        ds = spec.dk * 2.0 * (head + _ct_ds_tail(unit, split))
-    else:
-        raise TypeError(f"unknown filter spec {spec!r}")
+    ds, rs = _checked(spec)._noise_integrals()
     if abs(ds - rs) > 1e-9 * abs(ds):
         raise QuadratureError(
             f"direct- and reciprocal-space noise integrals disagree: "

@@ -2,6 +2,7 @@
 
 import os
 import pathlib
+import shlex
 import subprocess
 import sys
 
@@ -57,6 +58,46 @@ class TestCalibrateCommand:
             assert spec.dk == 0.5 / x0
             assert spec.k_1 * x0 == pytest.approx(1.6791246414768026, rel=1e-15)
 
+    # the spec block and the header lines above it, frozen from the output of
+    # the former second calibration path (special_case plus a residual the
+    # command computed itself)
+    @pytest.mark.parametrize("argv, expected", [
+        (["--family", "tukey", "--dk", "0.12"],
+         "# x_o=1.0\n# residual=0.0\n# half_transfer_point=1.8915909502919266\n"
+         "family=ct\nx_o=1.0\nk_1=1.703095391076539\na=0.5\ndk=0.12\n"
+         "k_2=2.080086509507314\n"),
+        (["--family", "hann"],
+         "# x_o=1.0\n# residual=1.1102230246251565e-16\n"
+         "# half_transfer_point=1.5707963267948963\nfamily=ct\nx_o=1.0\nk_1=0.0\n"
+         "a=0.5\ndk=0.9999999999999999\nk_2=3.1415926535897927\n"),
+        (["--family", "hann", "--x0", "2.5"],
+         "# x_o=2.5\n# residual=0.0\n# half_transfer_point=0.6283185307179586\n"
+         "family=ct\nx_o=2.5\nk_1=0.0\na=0.5\ndk=0.39999999999999997\n"
+         "k_2=1.2566370614359172\n"),
+        (["--family", "welch_approx"],
+         "# x_o=1.0\n# residual=1.1102230246251565e-16\n"
+         "# half_transfer_point=1.716784034891002\nfamily=ct\nx_o=1.0\nk_1=0.0\n"
+         "a=1.0\ndk=1.6394079922449114\nk_2=2.575176052336503\n"),
+    ], ids=["tukey", "hann", "hann_x2.5", "welch_approx"])
+    def test_named_variants(self, argv, expected, capsys):
+        assert main(["calibrate", *argv, "--no-timestamp"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert out[out.index("# x_o="):] == expected
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["--family", "hann", "--dk", "5"], "dk"),
+        (["--family", "hann", "--a", "2"], "a"),
+        (["--family", "welch_approx", "--x0", "2", "--dk", "5"], "dk"),
+        (["--family", "welch_approx", "--a", "1"], "a"),
+        (["--family", "tukey", "--dk", "0.12", "--a", "0.5"], "a"),
+    ])
+    def test_variant_rejects_what_it_sets(self, argv, flag, capsys):
+        """A variant's fixed a, or its calibrated dk, is an error, never ignored."""
+        assert main(["calibrate", *argv, "--no-timestamp"]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"sets {flag} itself, got {flag}=" in captured.err
+
     def test_spec_file_input(self, tmp_path, capsys):
         dest = tmp_path / "spec.txt"
         main(["calibrate", "--family", "gh", "--m", "10", "--out", str(dest),
@@ -66,6 +107,37 @@ class TestCalibrateCommand:
         header, body = _rows(capsys.readouterr().out)
         assert header == ["k", "transfer"]
         assert float(body[0][1]) == pytest.approx(1.0)
+
+
+# (subcommand, flag, value): flags a subcommand does not read, which argparse rejects
+_UNREAD_FLAGS = [
+    *((sub, "--eta", "1") for sub in ("calibrate", "kernel", "transfer", "noise", "apply",
+                                     "gibbs")),
+    *((sub, "--seed", "1") for sub in ("calibrate", "kernel", "transfer", "sweep", "apply",
+                                      "gibbs")),
+    ("calibrate", "--format", "tsv"), ("apply", "--format", "tsv"),
+    *((sub, flag, value) for sub in ("sweep", "noise")
+      for flag, value in (("--family", "bw"), ("--k1", "1"), ("--spec", "s.txt"))),
+]
+
+
+@pytest.mark.parametrize("sub, flag, value", _UNREAD_FLAGS,
+                         ids=[f"{sub}{flag}" for sub, flag, _ in _UNREAD_FLAGS])
+def test_unread_flag_is_rejected(sub, flag, value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([sub, flag, value, "--no-timestamp"])
+    assert exc.value.code == EXIT_VALIDATION
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
+
+def test_command_header_round_trips(tmp_path, capsys):
+    """The recorded command splits back into the argv it ran, spaces and all."""
+    (tmp_path / "sp ace").mkdir()
+    dest = tmp_path / "sp ace" / "o.txt"
+    argv = ["calibrate", "--family", "ra", "--out", str(dest), "--no-timestamp"]
+    assert main(argv) == EXIT_OK
+    line = next(ln for ln in dest.read_text().splitlines() if ln.startswith("# command: "))
+    assert shlex.split(line[len("# command: "):]) == ["specfilt", *argv]
 
 
 class TestDeterminism:
@@ -251,6 +323,14 @@ class TestApplyCommand:
 
     def test_missing_input(self, capsys):
         assert main(["apply", "--in", "/no/such.dat", "--family", "bw"]) == EXIT_IO
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_x_is_an_input_error(self, bad, tmp_path, capsys):
+        path = tmp_path / "bad.dat"
+        write_spectrum(str(path), [0.0, bad, 2.0], [1.0, 2.0, 3.0])
+        assert main(["apply", "--in", str(path), "--family", "bw",
+                     "--out", str(tmp_path / "f.dat")]) == EXIT_IO
+        assert capsys.readouterr().err == f"i/o failure: {path}: non-finite x values\n"
 
 
 class TestGibbsCommand:

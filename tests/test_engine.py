@@ -258,6 +258,13 @@ class TestSpectrumIo:
         with pytest.raises(ValueError, match="finite"):
             read_spectrum(path)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_nonfinite_x_rejected(self, tmp_path, bad):
+        path = str(tmp_path / "s.dat")
+        write_spectrum(path, [0.0, 1.0, bad], [1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match=r"s\.dat: non-finite x values$"):
+            read_spectrum(path)
+
     def test_messages_name_the_line(self, tmp_path):
         path = tmp_path / "s.dat"
         for text, message in (("0 1\n1 2 3\n2 3\n", r"s.dat:2: expected two columns, got 3"),

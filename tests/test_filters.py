@@ -20,6 +20,7 @@ from scipy.optimize import brentq
 from specfilt import filters, metrics
 from specfilt._gauss import gauss_legendre
 from specfilt.filters import (
+    FAMILIES,
     SINC_HALF_CROSSING,
     BrickWall,
     CalibrationError,
@@ -39,7 +40,8 @@ from specfilt.filters import (
     support_cutoff,
     transfer,
 )
-from specfilt.metrics import noise_gain
+from specfilt.lineshapes import LorentzianLine
+from specfilt.metrics import mse_numeric, noise_gain
 
 
 class TestHalfHeightConstant:
@@ -459,6 +461,40 @@ class TestSpecialCases:
     def test_unknown_name(self):
         with pytest.raises(ValueError):
             special_case("blackman", 1.0)
+
+    @pytest.mark.parametrize("name, kw", [("hann", {"dk": 0.3}), ("welch_approx", {"a": 2.0}),
+                                          ("tukey", {"a": 2.0, "dk": 0.12})])
+    def test_variant_rejects_what_it_sets(self, name, kw):
+        with pytest.raises(ValueError, match="itself"):
+            calibrate(name, 1.0, **kw)
+
+
+# calibrate() parameters of each name in FAMILIES that needs any; a new family
+# that needs one must add it here, or its protocol test fails at calibrate
+_PROTOCOL_PARAMS = {"gh": {"m": 20}, "ct": {"a": 5.0, "dk": 0.5}, "tukey": {"dk": 0.12}}
+
+
+class TestFamilyProtocol:
+    """Every name calibrate accepts yields a spec that answers the whole protocol."""
+
+    def test_every_spec_class_is_a_family(self):
+        assert set(filters._BY_TAG) <= set(FAMILIES)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_calibrated_at_unit_scale(self, family):
+        result = calibrate(family, 1.0, **_PROTOCOL_PARAMS.get(family, {}))
+        spec = result.spec
+        assert result.residual <= 1e-12
+        k = np.linspace(0.0, 3.0 * half_transfer_point(spec), 7)
+        assert transfer(spec, 0.0) == pytest.approx(1.0, abs=1e-15)
+        assert np.all(np.isfinite(transfer(spec, k))) and transfer(spec, k).shape == k.shape
+        x = np.linspace(-3.0, 3.0, 7)
+        assert np.all(np.isfinite(kernel(spec, x))) and kernel(spec, x).shape == x.shape
+        rep = noise_gain(spec)
+        assert rep.ds_value == pytest.approx(rep.rs_value, rel=1e-9)
+        assert 0.0 < mse_numeric(LorentzianLine(1.0), spec) < np.inf
+        assert parse_spec(serialize_spec(spec, x_o=1.0)) == spec
+        assert ds_cutoff(spec) == pytest.approx(1.0, rel=1e-9)
 
 
 class TestSerialization:

@@ -293,15 +293,15 @@ class TestNoiseGain:
         """A NaN transfer or kernel inside a range raises, never returns NaN."""
         gh = calibrate("gh", 1.0, m=20).spec
         ct = calibrate("ct", 1.0, a=5.0, dk=0.5).spec
-        real_transfer, real_kernel = metrics.transfer, metrics.kernel
+        real_transfer, real_kernel = filters.transfer, filters.kernel
         with monkeypatch.context() as patch:
-            patch.setattr(metrics, "transfer", lambda spec, k: np.where(
+            patch.setattr(filters, "transfer", lambda spec, k: np.where(
                 np.asarray(k) > 1.0, np.nan, real_transfer(spec, k)))
             for spec in (gh, ct):
                 with pytest.raises(QuadratureError):
                     noise_gain(spec)
         with monkeypatch.context() as patch:
-            patch.setattr(metrics, "kernel", lambda spec, x: np.where(
+            patch.setattr(filters, "kernel", lambda spec, x: np.where(
                 np.asarray(x) > 5.0, np.nan, real_kernel(spec, x)))
             with pytest.raises(QuadratureError):
                 noise_gain(ct)
@@ -320,8 +320,8 @@ class TestNoiseGain:
         with pytest.raises(QuadratureError, match=r"over x in \[0, 6\.5\] did not "
                            r"converge: it needs more than"):
             noise_gain(CosineTerminated(12000.0, 5.0, 2.0))
-        real_kernel = metrics.kernel
-        monkeypatch.setattr(metrics, "kernel", lambda spec, x: np.where(
+        real_kernel = filters.kernel
+        monkeypatch.setattr(filters, "kernel", lambda spec, x: np.where(
             np.asarray(x) > 5.0, np.nan, real_kernel(spec, x)))
         with pytest.raises(QuadratureError, match="the error estimate missed the tolerance"):
             noise_gain(CosineTerminated(1.0, 5.0, 0.5))
@@ -397,7 +397,7 @@ class TestCtNoiseRoutes:
                     pieces = mp.linspace(mp.mpf(10) ** -30, lo, int(lo * k2 / 40) + 2)
                     head = mp.quad(lambda x: _ct_kernel_mp(x, k1, A) ** 2, pieces,
                                    method="gauss-legendre")
-                    got = metrics._ct_ds_tail(CosineTerminated(r, a, 1.0), lo)
+                    got = filters._ct_ds_tail(CosineTerminated(r, a, 1.0), lo)
                     assert abs(got - float(total - head)) <= 1e-14 * float(total), (a, r)
 
 
