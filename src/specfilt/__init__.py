@@ -38,7 +38,6 @@ from .filters import (
     kernel,
     parse_spec,
     serialize_spec,
-    special_case,
     transfer,
 )
 from .lineshapes import (

@@ -35,6 +35,9 @@ from .filters import (
     CalibrationResult,
     CosineTerminated,
     FilterSpec,
+    _PARAMETERS,
+    _given_parameters,
+    _key_values,
     calibrate,
     half_transfer_point,
     kernel,
@@ -59,16 +62,6 @@ EXIT_VALIDATION = 2
 EXIT_NUMERIC = 3
 EXIT_IO = 4
 
-_CONFIG_TYPES = {
-    "x0": float, "family": str, "m": int, "a": float, "dk": float, "k1": float,
-    "eta": float, "out": str, "format": str, "seed": int, "no_timestamp": bool,
-    "kind": str, "eta_min": float, "eta_max": float, "eta_points": int,
-    "m_list": str, "dk_list": str, "gamma_list": str, "trials": int,
-    "grid_n": int, "path": str, "spec": str, "min": float, "max": float,
-    "points": int, "unit_height": bool, "curve": bool,
-}
-
-
 class ValidationFailure(Exception):
     def __init__(self, problems: list[str]):
         super().__init__("; ".join(problems))
@@ -81,16 +74,21 @@ class IoFailure(Exception):
 
 @dataclass
 class RunConfig:
-    """Command parameters merged from flags, config file, and defaults."""
+    """Command parameters merged from flags, config file, and defaults.
+
+    types holds the type of each flag's value, which a config-file value for
+    that flag is converted to.
+    """
 
     args: argparse.Namespace
     file_values: dict[str, str] = field(default_factory=dict)
+    types: dict[str, type] = field(default_factory=dict)
     problems: list[str] = field(default_factory=list)
 
     def get(self, name: str, default=None):
         val = getattr(self.args, name, None)
         if val is None and name in self.file_values:
-            typ = _CONFIG_TYPES.get(name, str)
+            typ = self.types.get(name, str)
             raw = self.file_values[name]
             try:
                 val = (raw.lower() in ("1", "true", "yes")) if typ is bool else typ(raw)
@@ -117,20 +115,24 @@ class RunConfig:
 def _load_config_file(path: str | None) -> dict[str, str]:
     if path is None:
         return {}
-    values: dict[str, str] = {}
     try:
         with open(path) as fh:
-            for ln, raw in enumerate(fh, 1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise IoFailure(f"{path}:{ln}: expected key=value, got {line!r}")
-                key, val = line.split("=", 1)
-                values[key.strip().replace("-", "_")] = val.strip()
+            pairs = _key_values(fh.read())
     except OSError as exc:
         raise IoFailure(f"cannot read config file {path}: {exc}") from None
-    return values
+    except ValueError as exc:  # a line that is not key=value, or text that is not utf-8
+        raise IoFailure(f"{path}: {exc}") from None
+    return {key.replace("-", "_"): value for key, value in pairs.items()}
+
+
+def _value_types(parser: argparse.ArgumentParser) -> dict[str, type]:
+    """The type of each flag's value, as its action declares it; a store_const True flag is a bool.
+
+    A subcommand's parser holds the very actions of the groups it names in
+    parents=, so its own action list covers every flag it accepts.
+    """
+    return {action.dest: bool if action.const is True else (action.type or str)
+            for action in parser._actions}
 
 
 def _fmt(value) -> str:
@@ -178,9 +180,9 @@ def _spec_line(spec: FilterSpec, x_o: float | None = None) -> str:
     return "; ".join(serialize_spec(spec, x_o=x_o).strip().splitlines())
 
 
-def _ct_dk(cfg: RunConfig, x0: float) -> float:
-    """--dk, by default 0.5/x0, so the default ct spec has one shape at every x0."""
-    return cfg.get("dk", 0.5 / x0 if x0 > 0 else 0.5)  # a bad x0 is reported on its own
+def _ct_defaults(x0: float) -> dict[str, float]:
+    """ct's a and dk when not given: 5 and 0.5/x0, one shape at every x0."""
+    return {"a": 5.0, "dk": 0.5 / x0 if x0 > 0 else 0.5}  # a bad x0 is reported on its own
 
 
 # parameter -> (the test a valid value passes, the rule its message states)
@@ -200,43 +202,54 @@ def _check_ranges(cfg: RunConfig, **values) -> None:
 
 
 def _family_params(cfg: RunConfig, family: str) -> dict:
-    """The m, a and dk to calibrate family with, range-checked.
+    """Every --m, --a and --dk given, range-checked, for calibrate to judge.
 
-    gh needs --m; ct's a and dk default to 5 and 0.5/x0.  Every other family
-    gets only the values given, and calibrate rejects those a named variant
-    fixes.
+    A parameter that family's calibration reads and lacks is a problem here;
+    ct's a and dk default to its shape.  calibrate rejects a given value the
+    family does not read; --k1 sets the onset of ct and of no other family.
     """
     x0 = cfg.get("x0", 1.0)
     _check_ranges(cfg, x0=x0)
     if family not in FAMILIES:
         cfg.check(False, f"--family must be one of {', '.join(FAMILIES)}, got {family!r}")
         return {}
-    params = {"m": cfg.require("m") if family == "gh" else cfg.get("m"),
-              "dk": _ct_dk(cfg, x0) if family == "ct" else cfg.get("dk"),
-              "a": cfg.get("a", 5.0 if family == "ct" else None)}
+    cfg.check(cfg.get("k1") is None or family == "ct",
+              f"--k1 sets the onset of ct alone, got --family {family}")
+    defaults = _ct_defaults(x0) if family == "ct" else {}
+    params = {name: (cfg.require if name in _PARAMETERS[family] else cfg.get)(
+        name, defaults.get(name)) for name in ("m", "a", "dk")}
     _check_ranges(cfg, **params)
     return params
 
 
 def _resolve_spec(cfg: RunConfig) -> tuple[FilterSpec, float, CalibrationResult | None]:
-    """Build the working spec from --spec, explicit --k1, or calibration."""
+    """Build the working spec from --spec, explicit --k1, or calibration.
+
+    A --spec file fixes the filter and its x_o (1 when the file has none), so
+    a flag that would choose either is a problem.
+    """
     spec_path = cfg.get("spec")
-    x0 = cfg.get("x0", 1.0)
     if spec_path is not None:
+        for name in ("family", "m", "a", "dk", "k1", "x0"):
+            cfg.check(cfg.get(name) is None, f"--{name} is not read with --spec")
+        cfg.finish()
         try:
             with open(spec_path) as fh:
                 text = fh.read()
+            spec, x0 = parse_spec(text), float(_key_values(text).get("x_o", 1.0))
         except OSError as exc:
             raise IoFailure(f"cannot read spec file {spec_path}: {exc}") from None
-        try:
-            return parse_spec(text), x0, None
         except ValueError as exc:
             raise ValidationFailure([f"bad spec file {spec_path}: {exc}"]) from None
+        cfg.check(x0 > 0, f"bad spec file {spec_path}: x_o must be positive, got {x0}")
+        cfg.finish()
+        return spec, x0, None
+    x0 = cfg.get("x0", 1.0)
     family = cfg.require("family")
     params = _family_params(cfg, family) if family is not None else {}
     cfg.finish()
-    if cfg.get("k1") is not None and family == "ct":
-        return CosineTerminated(cfg.get("k1"), params["a"], params["dk"]), x0, None
+    if cfg.get("k1") is not None:
+        return CosineTerminated(cfg.get("k1"), **_given_parameters("ct", params)), x0, None
     result = calibrate(family, x0, **params)
     return result.spec, x0, result
 
@@ -337,7 +350,7 @@ def cmd_sweep(cfg: RunConfig, command: str) -> int:
         columns += [f"ratio_m{m}" for m in ms]
         rows = [list(r) for r in zip(etas, *(ratios(s) for s in specs.values()))]
     elif kind == "ct":
-        a = cfg.get("a", 5.0)
+        a = cfg.get("a", _ct_defaults(x0)["a"])
         dk_list = cfg.get("dk_list")
         dks = ([s / x0 for s in (0.2, 0.5, 1.0)] if dk_list is None
                else _parse_list(dk_list, float, "--dk-list", cfg))
@@ -349,10 +362,9 @@ def cmd_sweep(cfg: RunConfig, command: str) -> int:
         rows = [list(r) for r in zip(etas, *(ratios(s) for s in specs.values()))]
     else:  # compare
         m = cfg.get("m", 100)
-        a = cfg.get("a", 5.0)
-        dk = _ct_dk(cfg, x0)
+        shape = {name: cfg.get(name, value) for name, value in _ct_defaults(x0).items()}
         gh = calibrate("gh", x0, m=m).spec
-        ct = calibrate("ct", x0, a=a, dk=dk).spec
+        ct = calibrate("ct", x0, **shape).spec
         meta += [f"spec_gh: {_spec_line(gh)}", f"spec_ct: {_spec_line(ct)}"]
         columns += ["ratio_ra", f"ratio_gh_m{m}", "ratio_ct"]
         ra = [mse_ra_analytic(e, x0) / ref for e, ref in zip(etas, refs)]
@@ -368,11 +380,10 @@ def cmd_sweep(cfg: RunConfig, command: str) -> int:
 def cmd_noise(cfg: RunConfig, command: str) -> int:
     x0 = cfg.get("x0", 1.0)
     m = cfg.get("m", 100)
-    a = cfg.get("a", 5.0)
-    dk = _ct_dk(cfg, x0)
+    shape = {name: cfg.get(name, value) for name, value in _ct_defaults(x0).items()}
     trials = cfg.get("trials", 0)
     grid_n = cfg.get("grid_n", 256)
-    _check_ranges(cfg, x0=x0, m=m, a=a, dk=dk)
+    _check_ranges(cfg, x0=x0, m=m, **shape)
     cfg.check(trials == 0 or trials >= 100,
               f"--trials must be 0 (analytic only) or >= 100, got {trials}")
     if trials > 0:
@@ -382,7 +393,7 @@ def cmd_noise(cfg: RunConfig, command: str) -> int:
         ("ra", calibrate("ra", x0).spec),
         ("bw", calibrate("bw", x0).spec),
         (f"gh_m{m}", calibrate("gh", x0, m=m).spec),
-        (f"ct_a{a}_dk{dk}", calibrate("ct", x0, a=a, dk=dk).spec),
+        (f"ct_a{shape['a']}_dk{shape['dk']}", calibrate("ct", x0, **shape).spec),
     ]
     meta = [f"x_o={x0!r}"] + [f"spec_{n}: {_spec_line(s)}" for n, s in named]
     columns = ["filter", "rms_gain", "ds_value", "rs_value"]
@@ -482,7 +493,8 @@ def cmd_gibbs(cfg: RunConfig, command: str) -> int:
     return EXIT_OK
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The specfilt parser and its subcommands' parsers by name."""
     parser = argparse.ArgumentParser(
         prog="specfilt",
         description="Calibrate, evaluate, and apply linear noise-reduction filters.",
@@ -543,7 +555,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="normalize lines to unit height instead of unit area")
     p.add_argument("--curve", action="store_const", const=True,
                    help="tabulate residual and kernel curves instead of the summary")
-    return parser
+    return parser, sub.choices
 
 
 _DISPATCH = {
@@ -559,11 +571,12 @@ _DISPATCH = {
 
 def main(argv: Sequence[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
+    parser, commands = _build_parser()
     args = parser.parse_args(argv)
     command = "specfilt " + shlex.join(argv)
     try:
-        cfg = RunConfig(args, _load_config_file(getattr(args, "config", None)))
+        cfg = RunConfig(args, _load_config_file(getattr(args, "config", None)),
+                        _value_types(commands[args.subcommand]))
         return _DISPATCH[args.subcommand](cfg, command)
     except ValidationFailure as exc:
         print("configuration error:", file=sys.stderr)

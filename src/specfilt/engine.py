@@ -61,11 +61,6 @@ class SampleGrid:
     def theta(self) -> np.ndarray:
         return 2.0 * np.pi * self.indices / self.size
 
-    @property
-    def density(self) -> float:
-        """Points per unit theta, (2N+1)/(2*pi)."""
-        return self.size / (2.0 * np.pi)
-
 
 @dataclass(frozen=True)
 class Spectrum:
@@ -120,12 +115,17 @@ def dft_inverse(c: RsCoefficients) -> Spectrum:
     return Spectrum(c.grid, vals.real)
 
 
+# sampled_kernel drops the weights beyond the last one of at least this
+# fraction of b(0)
+_TRUNC = 1e-8
+
+
 def sampled_kernel(spec: FilterSpec, grid: SampleGrid, dx: float | None = None,
-                   trunc: float = 1e-8, radius: int | None = None) -> np.ndarray:
+                   radius: int | None = None) -> np.ndarray:
     """Discrete kernel weights on the grid, truncated and renormalized.
 
     Samples b at offsets j*dx (dx defaults to the theta spacing), zeroes every
-    weight beyond the last offset where |b| >= trunc * b(0), then rescales to
+    weight beyond the last offset where |b| >= 1e-8 b(0), then rescales to
     unit sum so the discrete filter stays unitary.  An explicit radius (in
     samples) overrides the threshold rule; widening it tightens agreement
     between the DS and RS application paths, which is exactly the knob the
@@ -140,7 +140,7 @@ def sampled_kernel(spec: FilterSpec, grid: SampleGrid, dx: float | None = None,
             raise ValueError(f"radius must be in [0, {grid.n}], got {radius}")
         w = np.where(np.abs(grid.indices) <= radius, w, 0.0)
     else:
-        keep = np.abs(w) >= trunc * abs(float(kernel(spec, 0.0)))
+        keep = np.abs(w) >= _TRUNC * abs(float(kernel(spec, 0.0)))
         if np.any(keep):
             w = np.where(np.abs(grid.indices) <= int(np.max(np.abs(grid.indices[keep]))),
                          w, 0.0)
@@ -164,9 +164,9 @@ def apply_filter_rs(s: Spectrum, spec: FilterSpec, k_scale: float = 1.0,
 
 
 def apply_filter_ds(s: Spectrum, spec: FilterSpec, dx: float | None = None,
-                    trunc: float = 1e-8, radius: int | None = None) -> Spectrum:
+                    radius: int | None = None) -> Spectrum:
     """Circular convolution with the sampled kernel (direct-space path)."""
-    w = sampled_kernel(spec, s.grid, dx=dx, trunc=trunc, radius=radius)
+    w = sampled_kernel(spec, s.grid, dx=dx, radius=radius)
     f = np.fft.rfft(np.fft.ifftshift(s.values)) * np.fft.rfft(np.fft.ifftshift(w))
     out = np.fft.fftshift(np.fft.irfft(f, n=s.grid.size))
     return Spectrum(s.grid, out)
@@ -186,8 +186,7 @@ class TransmissionResult:
 
 
 def noise_transmission_empirical(spec: FilterSpec | Sequence[FilterSpec],
-                                 noise: "NoiseModel", trials: int, grid: SampleGrid,
-                                 dx: float | None = None
+                                 noise: "NoiseModel", trials: int, grid: SampleGrid
                                  ) -> TransmissionResult | list[TransmissionResult]:
     """Monte Carlo rms gain of filtered white noise against the weight-sum law.
 
@@ -206,7 +205,7 @@ def noise_transmission_empirical(spec: FilterSpec | Sequence[FilterSpec],
         raise ValueError("noise model must have sigma > 0")
     single = isinstance(spec, FilterSpec)
     specs = [spec] if single else list(spec)
-    weights = [sampled_kernel(s, grid, dx=dx) for s in specs]
+    weights = [sampled_kernel(s, grid) for s in specs]
     gains2 = _mc_mean_squares(weights, noise, trials, grid.size)
     results = []
     for w, g2 in zip(weights, gains2):

@@ -8,19 +8,21 @@ that they were given a spec and ask its class: ``transfer`` evaluates B(k),
 ``kernel`` b(x), and ``calibrate`` fixes a family's free parameter so that
 b(x_o)/b(0) = 1/2 for a requested direct-space half-width x_o.  The named
 cosine-terminated variants (tukey, hann, welch_approx) calibrate through the
-same ``calibrate``; ``FAMILIES`` lists every name it accepts.
+same ``calibrate``; ``FAMILIES`` lists every name it accepts.  Each
+calibration's own signature declares the parameters it reads.
 """
 
 from __future__ import annotations
 
 import functools
+import inspect
 import math
 import sys
 from dataclasses import dataclass, fields
 from typing import Callable, ClassVar, Union
 
 import numpy as np
-from scipy.special import exp1, gammaincc, gammainccinv, sici
+from scipy.special import exp1, gammaincc, gammainccinv
 
 from ._gauss import integral
 
@@ -38,7 +40,6 @@ __all__ = [
     "kernel",
     "gh_kernel_quadrature",
     "calibrate",
-    "special_case",
     "k2_of",
     "half_transfer_point",
     "ds_cutoff",
@@ -53,6 +54,9 @@ __all__ = [
 # k_o = SINC_HALF_CROSSING / x_o.
 SINC_HALF_CROSSING = 1.895494267033981
 
+# integral_0^inf sin(t)^2/t^2 dt = pi/2, by parts the Dirichlet integral
+_SINC2_INTEGRAL = 0.5 * np.pi
+
 
 class CalibrationError(RuntimeError):
     """No bracket for the calibration root within the scanned range."""
@@ -63,19 +67,13 @@ def _sinc(t: np.ndarray) -> np.ndarray:
     return np.sinc(t / np.pi)
 
 
-def _sinc2_to_inf() -> float:
-    """integral_0^inf sin(t)^2/t^2 dt: quadrature up to u = 40, the tail by the sine integral."""
-    u = 40.0
-    tail = np.sin(u) ** 2 / u + 0.5 * np.pi - sici(2.0 * u)[0]
-    return integral(lambda t: _sinc(t) ** 2, u, 1.0, var="t") + tail
-
-
 class _Family:
     """Defaults of the spec classes, which override what they have in closed form.
 
     Every family defines ``tag``, ``_transfer``, ``_kernel``,
     ``_half_transfer_point``, ``_noise_integrals`` and the ``_calibrated``
-    classmethod.  ``_noise_integrals`` returns (ds, rs): the integral of
+    classmethod, which takes x_o and, keyword-only and without defaults, the
+    parameters it reads.  ``_noise_integrals`` returns (ds, rs): the integral of
     b(x)^2 over x and of B(k)^2 over k / (2 pi), by routes that share no
     evaluation, so that ``noise_gain`` can hold them to Parseval.  Methods
     call the module functions (``kernel``, ``gh_kernel_quadrature``, ...),
@@ -130,10 +128,10 @@ class RunningAverage(_Family):
 
     def _noise_integrals(self) -> tuple[float, float]:
         ds = 1.0 / (2.0 * self.x_o)                      # exact box integral
-        return ds, _sinc2_to_inf() / (np.pi * self.x_o)
+        return ds, _SINC2_INTEGRAL / (np.pi * self.x_o)
 
     @classmethod
-    def _calibrated(cls, x_o: float, **_) -> RunningAverage:
+    def _calibrated(cls, x_o: float) -> RunningAverage:
         return cls(x_o)
 
 
@@ -168,10 +166,10 @@ class BrickWall(_Family):
 
     def _noise_integrals(self) -> tuple[float, float]:
         rs = self.k_o / np.pi                            # exact box integral
-        return 2.0 * self.k_o * _sinc2_to_inf() / np.pi**2, rs
+        return 2.0 * self.k_o * _SINC2_INTEGRAL / np.pi**2, rs
 
     @classmethod
-    def _calibrated(cls, x_o: float, **_) -> BrickWall:
+    def _calibrated(cls, x_o: float) -> BrickWall:
         return cls(SINC_HALF_CROSSING / x_o)
 
 
@@ -224,9 +222,7 @@ class GaussHermite(_Family):
         return ds, rs
 
     @classmethod
-    def _calibrated(cls, x_o: float, *, m: int | None = None, **_) -> GaussHermite:
-        if m is None:
-            raise ValueError("gh calibration requires the order m")
+    def _calibrated(cls, x_o: float, *, m: int) -> GaussHermite:
         return cls(int(m), 2.0 * _gh_half_height_y(int(m)) / x_o)
 
 
@@ -284,10 +280,7 @@ class CosineTerminated(_Family):
         return self.dk * 2.0 * (head + _ct_ds_tail(unit, split)), rs
 
     @classmethod
-    def _calibrated(cls, x_o: float, *, a: float | None = None, dk: float | None = None,
-                    **_) -> CosineTerminated:
-        if a is None or dk is None:
-            raise ValueError("ct calibration requires a and dk")
+    def _calibrated(cls, x_o: float, *, a: float, dk: float) -> CosineTerminated:
         cls(0.0, a, dk)  # rejects a bad a or dk before the scan
         spread = dk * x_o
         try:  # for u = k_1 x_o
@@ -618,49 +611,77 @@ def _first_root(f: Callable, lo: float, hi: float) -> float:
     return _brentq(f, grid[i], grid[i + 1], xtol=1e-300, rtol=8.9e-16)
 
 
-def _tukey(x_o: float, *, dk: float | None = None, **_) -> CosineTerminated:
-    if dk is None:
-        raise ValueError("tukey requires a chosen dk")
+def _tukey(x_o: float, *, dk: float) -> CosineTerminated:
     return CosineTerminated._calibrated(x_o, a=0.5, dk=dk)
 
 
-def _ct_onset_at_zero(steepness: float, x_o: float, **_) -> CosineTerminated:
+def _ct_onset_at_zero(steepness: float, x_o: float) -> CosineTerminated:
     # k_1 = 0 leaves dk free: solve for w = dk x_o at unit scale
     w = _first_root(lambda w: _ct_unit_mismatch(0.0, steepness, w), 1e-6, 1e3)
     return CosineTerminated(0.0, steepness, w / x_o)
 
 
-# Every name calibrate accepts -> (its calibration, the ct parameters it fixes).
-# The named variants are ct specs: tukey fixes a = 1/2 and calibrates k_1 at
-# the caller's dk; hann (a = 1/2) and welch_approx (a = 1) fix k_1 = 0 and
-# calibrate dk.
+# Every name calibrate accepts -> its calibration.  The named variants are ct
+# specs: tukey fixes a = 1/2 and calibrates k_1 at the caller's dk; hann
+# (a = 1/2) and welch_approx (a = 1) fix k_1 = 0 and calibrate dk.
 _CALIBRATIONS = {
-    **{tag: (cls._calibrated, ()) for tag, cls in _BY_TAG.items()},
-    "tukey": (_tukey, ("a",)),
-    "hann": (functools.partial(_ct_onset_at_zero, 0.5), ("a", "dk")),
-    "welch_approx": (functools.partial(_ct_onset_at_zero, 1.0), ("a", "dk")),
+    **{tag: cls._calibrated for tag, cls in _BY_TAG.items()},
+    "tukey": _tukey,
+    "hann": functools.partial(_ct_onset_at_zero, 0.5),
+    "welch_approx": functools.partial(_ct_onset_at_zero, 1.0),
 }
 FAMILIES = tuple(_CALIBRATIONS)
+# name -> the parameters its calibration reads, the keyword-only ones of its signature
+_PARAMETERS = {name: tuple(p.name for p in inspect.signature(calibration).parameters.values()
+                           if p.kind is p.KEYWORD_ONLY)
+               for name, calibration in _CALIBRATIONS.items()}
 
 
-def calibrate(family: str, x_o: float, *, m: int | None = None,
-              a: float | None = None, dk: float | None = None) -> CalibrationResult:
+def _given_parameters(family: str, params: dict) -> dict:
+    """The params that are not None, checked against what family's calibration reads.
+
+    A value it does not read is a ValueError naming it, which for a named
+    variant's a or dk says that the variant sets it itself; so is a missing
+    value it reads.
+    """
+    given = {name: value for name, value in params.items() if value is not None}
+    for name, value in given.items():
+        if name in _PARAMETERS[family]:
+            continue
+        if family not in _BY_TAG and name in _PARAMETERS["ct"]:
+            raise ValueError(f"{family} sets {name} itself, got {name}={value!r}")
+        raise ValueError(f"{family} does not take {name}, got {name}={value!r}")
+    missing = [name for name in _PARAMETERS[family] if name not in given]
+    if missing:
+        raise ValueError(f"{family} calibration requires {' and '.join(missing)}")
+    return given
+
+
+def calibrate(family: str, x_o: float, **params) -> CalibrationResult:
     """Fix a family's free parameter so its kernel satisfies b(x_o)/b(0) = 1/2.
 
-    family is any name in FAMILIES.  Free parameter by family: ra -> x_o
-    itself, bw -> k_o, gh -> k_s (m fixed), ct -> k_1 (a and dk fixed).  The
-    named variants are ct specs: tukey -> k_1 (a = 1/2, dk fixed), hann ->
-    dk (k_1 = 0, a = 1/2, so B = (1 + cos(k/dk))/2 on [0, pi*dk]) and
-    welch_approx -> dk (k_1 = 0, a = 1).  Each solves its half-height
-    condition once, at unit scale, in its dimensionless parameter (k_1 x_o
-    for ct and tukey, k_s x_o for gh, dk x_o for hann and welch_approx; bw
-    is the closed form SINC_HALF_CROSSING / x_o), and divides by x_o at the
-    end.  The residual is |b(x_o)/b(0) - 1/2| of the spec found.
+    family is any name in FAMILIES.  The parameters each name reads, all of
+    them required, and the parameter it calibrates:
 
-    Raises ValueError for a parameter the family needs and lacks, or one
-    that a named variant sets itself (a for all three, dk for hann and
-    welch_approx), and CalibrationError when no root lies in
-    the dimensionless bracket [1e-6, 1e3] (for ct the residual at k_1 = 0 is
+    - ra: none; x_o itself.
+    - bw: none; k_o = SINC_HALF_CROSSING / x_o, in closed form.
+    - gh: the order m; k_s.
+    - ct: the steepness a and the spread dk; k_1.
+    - tukey: dk; k_1, at a = 1/2.
+    - hann: none; dk, at k_1 = 0 and a = 1/2, so B = (1 + cos(k/dk))/2 on
+      [0, pi*dk].
+    - welch_approx: none; dk, at k_1 = 0 and a = 1.
+
+    Each solves its half-height condition once, at unit scale, in its
+    dimensionless parameter (k_1 x_o for ct and tukey, k_s x_o for gh, dk x_o
+    for hann and welch_approx), and divides by x_o at the end.  The residual
+    is |b(x_o)/b(0) - 1/2| of the spec found.
+
+    A parameter given as None counts as absent.  Raises ValueError for a
+    parameter the name reads and lacks, or one it does not read (for a
+    named variant's a, and hann's and welch_approx's dk, the message says the
+    variant sets it itself), and CalibrationError when no root lies in the
+    dimensionless bracket [1e-6, 1e3] (for ct the residual at k_1 = 0 is
     reported as well, since large dk can make every k_1 >= 0 overshoot the
     half-height point).
     """
@@ -668,18 +689,10 @@ def calibrate(family: str, x_o: float, *, m: int | None = None,
         raise ValueError(f"calibration requires x_o > 0, got {x_o}")
     if family not in _CALIBRATIONS:
         raise ValueError(f"unknown filter family {family!r} (expected {', '.join(FAMILIES)})")
-    calibrated, fixed = _CALIBRATIONS[family]
-    for name, value in (("a", a), ("dk", dk)):
-        if name in fixed and value is not None:
-            raise ValueError(f"{family} sets {name} itself, got {name}={value!r}")
-    spec = calibrated(x_o, m=m, a=a, dk=dk)
+    given = _given_parameters(family, params)
+    spec = _CALIBRATIONS[family](x_o, **given)
     residual = abs(float(kernel(spec, x_o)) / float(kernel(spec, 0.0)) - 0.5)
     return CalibrationResult(spec, x_o, residual)
-
-
-def special_case(name: str, x_o: float, *, dk: float | None = None) -> FilterSpec:
-    """The spec of calibrate(name, x_o, dk=dk), for the named ct variants."""
-    return calibrate(name, x_o, dk=dk).spec
 
 
 def ds_cutoff(spec: FilterSpec) -> float:
@@ -710,17 +723,23 @@ def serialize_spec(spec: FilterSpec, x_o: float | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_spec(text: str) -> FilterSpec:
-    """Inverse of serialize_spec; tolerates comments and the metadata keys."""
+def _key_values(text: str) -> dict[str, str]:
+    """The key=value lines of text, '#' starting a comment; ValueError names a bad line."""
     pairs: dict[str, str] = {}
-    for raw in text.splitlines():
+    for ln, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise ValueError(f"expected key=value, got {line!r}")
+            raise ValueError(f"line {ln}: expected key=value, got {line!r}")
         key, val = line.split("=", 1)
         pairs[key.strip()] = val.strip()
+    return pairs
+
+
+def parse_spec(text: str) -> FilterSpec:
+    """Inverse of serialize_spec; tolerates comments and the metadata keys."""
+    pairs = _key_values(text)
     family = pairs.pop("family", None)
     if family is None:
         raise ValueError("spec block is missing the family key")

@@ -156,19 +156,15 @@ def mse_with_noise(line: LorentzianLine, spec: FilterSpec, noise_density: float,
                         eta=eta, analytic_ref=ref)
 
 
-def _eta_value(eta) -> float:
-    return float(eta)
-
-
 def mse_bw_analytic(eta, x_o: float = 1.0) -> float:
     """Closed-form brick-wall MSE exp(-2*z*eta)/(2*pi*eta*x_o), z the sinc root."""
-    e = _eta_value(eta)
+    e = float(eta)
     return np.exp(-2.0 * SINC_HALF_CROSSING * e) / (2.0 * np.pi * e * x_o)
 
 
 def mse_ra_analytic(eta, x_o: float = 1.0) -> float:
     """Closed-form running-average MSE for a unit-area line."""
-    e = _eta_value(eta)
+    e = float(eta)
     bracket = (0.5 / e - 2.0 * np.arctan(0.5 / e)
                - 0.5 * e * np.log1p(1.0 / e**2) + np.arctan(1.0 / e))
     return bracket / (np.pi * x_o)
@@ -185,7 +181,7 @@ def mse_ratio_ra_bw(eta) -> float:
     Differs from the quotient of the two closed forms by up to ~0.3% over
     eta in [0.1, 5] purely because 2*z = 3.790988... is rounded to 3.79.
     """
-    e = _eta_value(eta)
+    e = float(eta)
     bracket = (1.0 - 4.0 * e * np.arctan(0.5 / e)
                - e**2 * np.log1p(1.0 / e**2) + 2.0 * e * np.arctan(1.0 / e))
     return np.exp(3.79 * e) * bracket

@@ -56,6 +56,13 @@ def _cli_commands() -> list[tuple[str, list[str]]]:
         ("noise_x18", ["noise", "--x0", "18.791550682890122", "--m", "20"]),
         ("noise_mc", ["noise", "--trials", "300", "--grid-n", "64", "--seed", "3"]),
     ]
+    cmds += [
+        ("roundtrip_calibrate", ["calibrate", "--family", "gh", "--m", "20", "--x0", "0.5",
+                                 "--out", "roundtrip_spec.txt"]),
+        ("roundtrip_kernel", ["kernel", "--spec", "roundtrip_spec.txt", "--points", "21"]),
+        ("calibrate_ct_k1", ["calibrate", "--family", "ct", "--k1", "1.2", "--a", "5",
+                             "--dk", "0.5"]),
+    ]
     for family in ("bw", "gh", "ct"):
         for route in ("rs", "ds"):
             name = f"apply_{family}_{route}"

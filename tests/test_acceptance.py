@@ -25,7 +25,6 @@ from specfilt.filters import (
     gh_kernel_quadrature,
     half_transfer_point,
     kernel,
-    special_case,
 )
 from specfilt.lineshapes import LorentzianLine, NoiseModel, pseudo_lorentzian_discrete
 from specfilt.metrics import (
@@ -241,7 +240,7 @@ def test_06_gh_order_scan():
 def test_07_ct_tracks_gh():
     gh = calibrate("gh", 1.0, m=100).spec
     ct = calibrate("ct", 1.0, a=5.0, dk=0.5).spec
-    tukey = special_case("tukey", 1.0, dk=0.12)
+    tukey = calibrate("tukey", 1.0, dk=0.12).spec
     worst_quot = 0.0
     worst_track = 0.0
     for eta in np.arange(1.0, 5.001, 0.25):

@@ -1,5 +1,6 @@
 """Command-line interface: output shape, config precedence, exit codes."""
 
+import importlib.util
 import os
 import pathlib
 import shlex
@@ -13,7 +14,7 @@ import specfilt
 from specfilt import metrics
 from specfilt.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_VALIDATION, main
 from specfilt.engine import write_spectrum
-from specfilt.filters import BrickWall, parse_spec
+from specfilt.filters import BrickWall, CosineTerminated, parse_spec
 
 
 def _rows(text, sep=","):
@@ -107,6 +108,62 @@ class TestCalibrateCommand:
         header, body = _rows(capsys.readouterr().out)
         assert header == ["k", "transfer"]
         assert float(body[0][1]) == pytest.approx(1.0)
+
+    def test_spec_file_keeps_its_x_o(self, tmp_path, capsys):
+        dest = tmp_path / "spec.txt"
+        assert main(["calibrate", "--family", "gh", "--m", "10", "--x0", "0.5",
+                     "--out", str(dest), "--no-timestamp"]) == EXIT_OK
+        spec_line = "# spec: " + "; ".join(dest.read_text().splitlines()[-4:])
+        assert spec_line.startswith("# spec: family=gh; x_o=0.5; m=10; k_s=")
+        assert main(["kernel", "--spec", str(dest), "--points", "3",
+                     "--no-timestamp"]) == EXIT_OK
+        assert spec_line in capsys.readouterr().out.splitlines()
+        assert main(["calibrate", "--spec", str(dest), "--no-timestamp"]) == EXIT_OK
+        assert "# x_o=0.5\n" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--family", "bw"), ("--m", "3"), ("--a", "2"), ("--dk", "0.3"), ("--k1", "1"),
+        ("--x0", "0.5")])
+    def test_spec_file_rejects_filter_flags(self, flag, value, tmp_path, capsys):
+        """The file fixes the filter and its x_o; a flag that would choose them is an error."""
+        dest = tmp_path / "spec.txt"
+        main(["calibrate", "--family", "bw", "--out", str(dest), "--no-timestamp"])
+        assert main(["calibrate", "--spec", str(dest), flag, value,
+                     "--no-timestamp"]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{flag} is not read with --spec" in captured.err
+
+    @pytest.mark.parametrize("argv, name", [
+        (["--family", "bw", "--m", "7", "--dk", "0.3"], "m"),
+        (["--family", "ct", "--m", "3"], "m"),
+        (["--family", "ra", "--a", "2"], "a"),
+        (["--family", "gh", "--m", "20", "--dk", "0.3"], "dk"),
+        (["--family", "hann", "--m", "3"], "m"),
+        (["--family", "ct", "--k1", "1.2", "--m", "3"], "m"),
+    ])
+    def test_unread_parameter_is_rejected(self, argv, name, capsys):
+        """A valid value of a parameter the family does not read is an error, never dropped."""
+        assert main(["calibrate", *argv, "--no-timestamp"]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"does not take {name}, got {name}=" in captured.err
+
+    def test_k1_needs_ct(self, capsys):
+        assert main(["calibrate", "--family", "bw", "--k1", "3",
+                     "--no-timestamp"]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--k1" in captured.err
+
+    def test_k1_sets_the_onset(self, capsys):
+        """An explicit onset skips calibration, so no residual is reported."""
+        assert main(["calibrate", "--family", "ct", "--k1", "1.2", "--a", "5", "--dk", "0.5",
+                     "--no-timestamp"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "k_1=1.2\n" in out
+        assert "# residual=" not in out
+        assert parse_spec(out) == CosineTerminated(1.2, 5.0, 0.5)
 
 
 # (subcommand, flag, value): flags a subcommand does not read, which argparse rejects
@@ -404,3 +461,26 @@ class TestConfigFile:
         cfg = tmp_path / "cfg.txt"
         cfg.write_text("family gh\n")
         assert main(["calibrate", "--config", str(cfg)]) == EXIT_IO
+
+    def test_unread_file_value_rejected(self, tmp_path, capsys):
+        """A config-file value counts as given: bw does not read m."""
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("m = 30\n")
+        assert main(["calibrate", "--family", "bw", "--config", str(cfg),
+                     "--no-timestamp"]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "bw does not take m, got m=30" in captured.err
+
+
+@pytest.mark.parametrize("argv", [["--family", "gh", "--m", "20"], ["--family", "ct"]],
+                         ids=["gh", "ct"])
+def test_gibbs_report_script(argv, tmp_path, capsys):
+    """The ringing driver runs for every family, fitting the spec its table records."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "run_gibbs_report.py"
+    loader = importlib.util.spec_from_file_location("run_gibbs_report", path)
+    script = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(script)
+    assert script.run(["--out-dir", str(tmp_path), "--gammas", "1,2,3", *argv]) == 0
+    assert (tmp_path / "gibbs_summary.csv").exists() and (tmp_path / "gibbs_curves.csv").exists()
+    assert "log-amplitude decay slope vs k_c*gamma: " in capsys.readouterr().out

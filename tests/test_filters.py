@@ -36,7 +36,6 @@ from specfilt.filters import (
     kernel,
     parse_spec,
     serialize_spec,
-    special_case,
     support_cutoff,
     transfer,
 )
@@ -117,6 +116,18 @@ class TestCalibration:
         with pytest.raises(ValueError):
             calibrate("nope", 1.0)
 
+    @pytest.mark.parametrize("family, kw, name", [
+        ("ra", {"dk": 0.1}, "dk"), ("bw", {"m": 7}, "m"), ("gh", {"m": 20, "a": 2.0}, "a"),
+        ("ct", {"m": 3, "a": 5.0, "dk": 0.5}, "m"), ("hann", {"m": 3}, "m")])
+    def test_unread_parameter_rejected(self, family, kw, name):
+        with pytest.raises(ValueError, match=f"^{family} does not take {name}, got {name}="):
+            calibrate(family, 1.0, **kw)
+
+    def test_none_is_absent(self):
+        assert calibrate("bw", 1.0, m=None, a=None, dk=None) == calibrate("bw", 1.0)
+        with pytest.raises(ValueError, match="^ct calibration requires dk$"):
+            calibrate("ct", 1.0, a=5.0, dk=None)
+
     @given(st.floats(min_value=0.2, max_value=5.0))
     @settings(max_examples=20, deadline=None)
     def test_bw_scaling_law(self, x_o):
@@ -142,9 +153,9 @@ _UNIT_SCALE_PARAMETER = {
     **{f"ct_a{a}_w{w}": (lambda a, w: lambda x_o: calibrate(
         "ct", x_o, a=a, dk=w / x_o).spec.k_1)(a, w)
        for a in (0.5, 5.0) for w in (0.12, 0.5)},
-    "tukey": lambda x_o: special_case("tukey", x_o, dk=0.3 / x_o).k_1,
-    "hann": lambda x_o: special_case("hann", x_o).dk,
-    "welch_approx": lambda x_o: special_case("welch_approx", x_o).dk,
+    "tukey": lambda x_o: calibrate("tukey", x_o, dk=0.3 / x_o).spec.k_1,
+    "hann": lambda x_o: calibrate("hann", x_o).spec.dk,
+    "welch_approx": lambda x_o: calibrate("welch_approx", x_o).spec.dk,
 }
 
 # ct (a, w = dk x_o) grid: for each a, the smallest w on the grid for which no
@@ -226,8 +237,8 @@ class TestBrentqPort:
         self._assert_bitwise(solves, feasible)
 
     def test_special_case_and_crossover_roots(self, solves):
-        special_case("hann", 1.0)
-        special_case("welch_approx", 1.0)
+        calibrate("hann", 1.0)
+        calibrate("welch_approx", 1.0)
         metrics.crossover_eta("upper")
         metrics.crossover_eta("lower")
         self._assert_bitwise(solves, 4)
@@ -438,29 +449,29 @@ class TestNotASpec:
 
 class TestSpecialCases:
     def test_tukey(self):
-        spec = special_case("tukey", 1.0, dk=0.12)
+        spec = calibrate("tukey", 1.0, dk=0.12).spec
         assert spec.a == 0.5
         assert spec.k_1 == pytest.approx(1.703095391076539, rel=1e-10)
 
     def test_hann_width_identity(self):
         """The pure raised cosine calibrates to dk = 1/x_o exactly."""
         for x_o in (0.5, 1.0, 2.0):
-            spec = special_case("hann", x_o)
+            spec = calibrate("hann", x_o).spec
             assert spec.k_1 == 0.0 and spec.a == 0.5
             assert spec.dk * x_o == pytest.approx(1.0, rel=1e-12)
 
     def test_welch_approx(self):
-        spec = special_case("welch_approx", 1.0)
+        spec = calibrate("welch_approx", 1.0).spec
         assert spec.a == 1.0
         assert spec.dk == pytest.approx(1.6394079922449114, rel=1e-10)
 
     def test_tukey_requires_dk(self):
         with pytest.raises(ValueError):
-            special_case("tukey", 1.0)
+            calibrate("tukey", 1.0)
 
     def test_unknown_name(self):
         with pytest.raises(ValueError):
-            special_case("blackman", 1.0)
+            calibrate("blackman", 1.0)
 
     @pytest.mark.parametrize("name, kw", [("hann", {"dk": 0.3}), ("welch_approx", {"a": 2.0}),
                                           ("tukey", {"a": 2.0, "dk": 0.12})])
