@@ -15,6 +15,8 @@ import functools
 from typing import Callable
 
 import numpy as np
+# np.unique imports numpy.ma on its first call: load it with specfilt, not inside a job
+import numpy.ma  # noqa: F401
 from numpy.polynomial.legendre import leggauss
 
 __all__ = ["QuadratureError", "gauss_legendre", "exp_weighted", "converged", "integral"]

@@ -312,10 +312,19 @@ def _eta_grid(cfg: RunConfig) -> np.ndarray:
     return np.linspace(lo, hi, int(n))
 
 
+# sweep kind -> the --m, --a and --dk it reads; gh takes its orders from
+# --m-list and ct its spreads from --dk-list
+_SWEEP_PARAMS = {"ra-bw": (), "gh": (), "ct": ("a",), "compare": ("m", "a", "dk")}
+
+
 def cmd_sweep(cfg: RunConfig, command: str) -> int:
     kind = cfg.get("kind", "ra-bw")
-    cfg.check(kind in ("ra-bw", "gh", "ct", "compare"),
-              f"--kind must be ra-bw, gh, ct, or compare, got {kind!r}")
+    cfg.check(kind in _SWEEP_PARAMS, f"--kind must be ra-bw, gh, ct, or compare, got {kind!r}")
+    read = _SWEEP_PARAMS.get(kind, ("m", "a", "dk"))  # an unknown kind is reported above
+    for name in ("m", "a", "dk"):
+        value = cfg.get(name)
+        cfg.check(value is None or name in read,
+                  f"--{name} is not read by sweep --kind {kind}, got {value}")
     x0 = cfg.get("x0", 1.0)
     _check_ranges(cfg, x0=x0)
     etas = _eta_grid(cfg)
@@ -363,6 +372,8 @@ def cmd_sweep(cfg: RunConfig, command: str) -> int:
     else:  # compare
         m = cfg.get("m", 100)
         shape = {name: cfg.get(name, value) for name, value in _ct_defaults(x0).items()}
+        _check_ranges(cfg, m=m, **shape)
+        cfg.finish()
         gh = calibrate("gh", x0, m=m).spec
         ct = calibrate("ct", x0, **shape).spec
         meta += [f"spec_gh: {_spec_line(gh)}", f"spec_ct: {_spec_line(ct)}"]

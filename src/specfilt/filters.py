@@ -14,6 +14,7 @@ calibration's own signature declares the parameters it reads.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import inspect
 import math
@@ -22,7 +23,6 @@ from dataclasses import dataclass, fields
 from typing import Callable, ClassVar, Union
 
 import numpy as np
-from scipy.special import exp1, gammaincc, gammainccinv
 
 from ._gauss import integral
 
@@ -183,6 +183,16 @@ class GaussHermite(_Family):
     with y = k_s x / 2, evaluated in that closed form.  Counting the order by the top
     power m rather than by the number of terms is this repository's own
     convention; the paper's abstract does not fix one.
+
+    The transfer is the finite Poisson sum itself (_poisson_tail): Loader's
+    saddle-point form of the top term e^{-u} u^m/m!, times the sum down from
+    it above u = m+1, or one minus the rest of the Poisson series below.  The
+    support cutoff (B = 1e-15) and the half-transfer point (B = 1/2) are
+    _brentq roots of that sum in u, solved once per order and scaled by k_s.
+    Against a 40-digit Q(m+1, u) for m in {1, 2, 5, ..., 200, 1000}, on
+    [0, 2 u_cut] and densest near u = m+1, it erred by at most 6.7e-16
+    absolute and, where Q >= 1e-300, 2.1e-13 relative (scipy's gammaincc:
+    6.1e-16 and 1.5e-12); the tests bound the two by 4e-15 and 2e-12.
     """
 
     tag = "gh"
@@ -197,17 +207,17 @@ class GaussHermite(_Family):
         object.__setattr__(self, "m", int(self.m))  # 20.0 serializes as m=20
 
     def _transfer(self, k: np.ndarray) -> np.ndarray:
-        return gammaincc(self.m + 1, (k / self.k_s) ** 2)
+        return _poisson_tail(self.m, (k / self.k_s) ** 2)
 
     def _kernel(self, x: np.ndarray) -> np.ndarray:
         return _gh_table(self, x)
 
     def _support_cutoff(self) -> float:
         # B(k) < 1e-15 beyond it
-        return self.k_s * float(np.sqrt(gammainccinv(self.m + 1, 1e-15)))
+        return self.k_s * math.sqrt(_gh_u_at(self.m, 1e-15))
 
     def _half_transfer_point(self) -> float:
-        return self.k_s * float(np.sqrt(gammainccinv(self.m + 1, 0.5)))
+        return self.k_s * math.sqrt(_gh_u_at(self.m, 0.5))
 
     def _noise_integrals(self) -> tuple[float, float]:
         rs = integral(lambda k: transfer(self, k) ** 2, support_cutoff(self),
@@ -386,17 +396,53 @@ def _ct_sin_terms(spec: CosineTerminated):
     )
 
 
-def _exp_over_t(omega: float, psi: float, u: float) -> complex:
+_EULER_GAMMA = 0.5772156649015329
+
+
+def _e1(z: complex) -> complex:
+    """The exponential integral E1(z) = integral_1^inf e^{-zt}/t dt, for Re z >= 0, z != 0.
+
+    Below |z| = 2 it sums the power series -gamma - log z - sum_{k>=1}
+    (-z)^k/(k k!) to 25 terms, which leave less than 1e-18.  Beyond, it
+    evaluates the continued fraction e^z E1(z) = 1/(z+1 - 1/(z+3 - 4/(z+5 -
+    ...))) from the bottom up, which rounds far less than the forward (Lentz)
+    recurrence.  Its n-th approximant errs by about exp(-sqrt(8 n |z|)) on the
+    imaginary axis, the slowest case at Re z >= 0 (Perron), so depth
+    4 + 200/|z| reaches e^{-40}.
+    """
+    if abs(z) < 2.0:
+        term, total = 1.0 + 0j, 0j
+        for k in range(1, 26):
+            term *= -z / k
+            total += term / k
+        return -_EULER_GAMMA - cmath.log(z) - total
+    n = 4 + int(200.0 / abs(z))
+    f = z + (2 * n + 1)
+    for i in range(n, 0, -1):
+        f = z + (2 * i - 1) - i * i / f
+    return cmath.exp(-z) / f
+
+
+def _exp_over_t(omega: float, psi: float, u: float, e1: Callable) -> complex:
     """integral_u^inf exp(i(omega t + psi))/t dt = e^{i psi} E1(-i omega u), omega, u > 0.
 
     The real part is -cos(psi) Ci(omega u) + sin(psi) (Si(omega u) - pi/2), but
-    E1 keeps the relative accuracy that pi/2 - Si loses at large omega u.
+    E1 keeps the relative accuracy that pi/2 - Si loses at large omega u.  e1
+    is _e1 or a memo of it.  Against a 40-digit E1 on 2000 points z = -it, t
+    log-uniform in [1e-8, 1e8], _e1 erred by at most 1.1e-15 relative below
+    |z| = 2 (its series) and 3.5e-16 beyond (its continued fraction), where
+    scipy.special.exp1 erred by 1.1e-15 and 7.3e-15; the tests bound the two
+    by 2e-15 and 4e-15.
     """
-    return np.exp(1j * psi) * exp1(-1j * omega * u)
+    return cmath.exp(1j * psi) * e1(-1j * omega * u)
 
 
-def _cos_over_poles(omega: float, phi: float, ci: float, cj: float, lo: float) -> float:
-    """integral_lo^inf cos(omega x + phi) / ((x-ci)(x-cj)) dx in closed form."""
+def _cos_over_poles(omega: float, phi: float, ci: float, cj: float, lo: float,
+                    e1: Callable) -> float:
+    """integral_lo^inf cos(omega x + phi) / ((x-ci)(x-cj)) dx in closed form.
+
+    e1 is _e1 or a memo of it, as for _exp_over_t.
+    """
     if omega < 0.0:
         omega, phi = -omega, -phi
     if omega == 0.0:
@@ -408,23 +454,166 @@ def _cos_over_poles(omega: float, phi: float, ci: float, cj: float, lo: float) -
     if ci == cj:
         # by parts: integral_u^inf cos(omega t + psi)/t^2 dt with t = x - c
         u = lo - ci
-        return np.cos(omega * lo + phi) / u - omega * _exp_over_t(omega, phi + omega * ci, u).imag
+        return (np.cos(omega * lo + phi) / u
+                - omega * _exp_over_t(omega, phi + omega * ci, u, e1).imag)
     # partial fractions: 1/((x-ci)(x-cj)) = (1/(x-ci) - 1/(x-cj)) / (ci - cj)
-    near = _exp_over_t(omega, phi + omega * ci, lo - ci)
-    far = _exp_over_t(omega, phi + omega * cj, lo - cj)
+    near = _exp_over_t(omega, phi + omega * ci, lo - ci, e1)
+    far = _exp_over_t(omega, phi + omega * cj, lo - cj, e1)
     return (near - far).real / (ci - cj)
 
 
 def _ct_ds_tail(spec: CosineTerminated, lo: float) -> float:
-    """integral_lo^inf b(x)^2 dx in closed form, from the pairwise product-to-sum expansion."""
+    """integral_lo^inf b(x)^2 dx in closed form, from the pairwise product-to-sum expansion.
+
+    The 36 pairs make 90 E1 calls on a handful of distinct arguments (12 for
+    ct(a=5, dk=0.5)), so one memo of _e1 serves the call.
+    """
     terms = _ct_sin_terms(spec)
+    e1 = functools.cache(_e1)
     total = 0.0
     for a_i, w_i, p_i, c_i in terms:
         for a_j, w_j, p_j, c_j in terms:
             coeff = 0.5 * a_i * a_j
-            total += coeff * _cos_over_poles(w_i - w_j, p_i - p_j, c_i, c_j, lo)
-            total -= coeff * _cos_over_poles(w_i + w_j, p_i + p_j, c_i, c_j, lo)
+            total += coeff * _cos_over_poles(w_i - w_j, p_i - p_j, c_i, c_j, lo, e1)
+            total -= coeff * _cos_over_poles(w_i + w_j, p_i + p_j, c_i, c_j, lo, e1)
     return total
+
+
+# stirlerr(n) = log(n!) - (n + 1/2) log(n) + n - log(2 pi)/2, the error of
+# Stirling's formula, for n = 0..15, rounded from a 40-digit log-gamma
+_STIRLERR = (0.0, 0.08106146679532726, 0.0413406959554093, 0.02767792568499834,
+             0.020790672103765093, 0.016644691189821193, 0.013876128823070748,
+             0.01189670994589177, 0.010411265261972096, 0.009255462182712733,
+             0.00833056343336287, 0.007573675487951841, 0.00694284010720953,
+             0.006408994188004207, 0.0059513701127588475, 0.005554733551962801)
+
+# 1/17, 1/15, ..., 1/3: the series of _bd0 in v^2, highest power first
+_BD0_SERIES = tuple(1.0 / j for j in range(17, 1, -2))
+
+# exp(-t) rounds to 0 in double precision past it
+_LOG_UNDERFLOW = 745.2
+
+# the series of _poisson_tail stop where the rest falls below this share of the sum
+_SERIES_TOL = 2.0 ** -54
+
+
+def _stirlerr(n: int) -> float:
+    """log(n!) - (n + 1/2) log(n) + n - log(2 pi)/2; from n = 16 on, its asymptotic series."""
+    if n < len(_STIRLERR):
+        return _STIRLERR[n]
+    s = 1.0 / (n * n)
+    return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - s / 1188) * s) * s) * s) / n
+
+
+def _horner(coeffs: tuple[float, ...], x):
+    """The polynomial with coefficients coeffs, highest power first, at a float or an array x."""
+    if isinstance(x, float):
+        return functools.reduce(lambda acc, c: acc * x + c, coeffs)
+    acc = np.full(x.shape, coeffs[0])
+    for c in coeffs[1:]:
+        acc *= x
+        acc += c
+    return acc
+
+
+def _bd0(m: int, u):
+    """bd0 = m log(m/u) + u - m, for a float or an array u > 0.
+
+    It is the deviance of Loader's saddle-point form of the Poisson
+    probability, e^{-u} u^m/m! = exp(-stirlerr(m) - bd0) / sqrt(2 pi m).
+    Where |m - u| < (m + u)/10 the direct form cancels, and bd0 is
+    (m - u) v + 2m (v^3/3 + v^5/5 + ...) with v = (m - u)/(m + u); eight
+    terms leave less than 1e-16 of it at |v| < 1/10.
+    """
+    if isinstance(u, float):
+        return _bd0_near(m, u) if abs(m - u) < 0.1 * (m + u) else m * math.log(m / u) + (u - m)
+    out = m * np.log(m / u) + (u - m)
+    near = (u > m * (9 / 11)) & (u < m * (11 / 9))
+    out[near] = _bd0_near(m, u[near])
+    return out
+
+
+def _bd0_near(m: int, u):
+    diff = m - u
+    v = diff / (m + u)
+    return diff * v + 2.0 * m * v * v * v * _horner(_BD0_SERIES, v * v)
+
+
+@functools.cache
+def _poisson_order(m: int) -> tuple[tuple[float, ...], tuple[float, ...], float, float]:
+    """The constants of _poisson_tail for order m: (a, b, shift, u_zero).
+
+    a and b are the coefficients, highest power first, of its series above and
+    below u = m + 1, each cut where the bound on its rest at the nearest u
+    (w = m/(m+1), z = 1) falls below _SERIES_TOL; the terms fall off like
+    exp(-i^2/2m) there, so each keeps about sqrt(75 m) terms, and at most m+1
+    above.  shift is stirlerr(m) + log(2 pi m)/2, and past u_zero the
+    prefactor e^{-u} u^m/m! and with it Q underflow to 0.
+    """
+    a, t = [1.0], 1.0          # t: term i of the upper series at w = m/(m+1)
+    for i in range(m):
+        if t * (m - i) / (i + 1) < _SERIES_TOL:
+            break
+        a.append(a[-1] * (1 - i / m))
+        t *= (m - i) / (m + 1)
+    b, i = [1.0], 1            # b[-1]: term i of the lower series at z = 1
+    while b[-1] * (m + 1) / i >= _SERIES_TOL:
+        b.append(b[-1] * (m + 1) / (m + i + 1))
+        i += 1
+    shift = _stirlerr(m) + 0.5 * math.log(2.0 * math.pi * m)
+    u_zero = _brentq(lambda u: m * math.log(m / u) + u - m + shift - _LOG_UNDERFLOW,
+                     m + 1.0, 2.0 * m + 1600.0)
+    return tuple(reversed(a)), tuple(reversed(b)), shift, u_zero
+
+
+def _poisson_tail(m: int, u: np.ndarray) -> np.ndarray:
+    """Q(m+1, u) = e^{-u} sum_{j<=m} u^j/j!, the GH transfer at u = (k/k_s)^2.
+
+    With p = e^{-u} u^m/m! in Loader's saddle-point form, Q is p times the
+    sum down from its top term, sum_{i<=m} w^i prod_{l<i} (1 - l/m) with
+    w = m/u, for u >= m+1, and 1 - p times the upward sum of the rest of the
+    Poisson series, sum_{i>=1} z^i prod_{l<=i} (m+1)/(m+l) with z = u/(m+1),
+    below.  Both sums have positive terms and run by Horner's rule for the
+    terms _poisson_order keeps; past u_zero, Q is 0.
+    """
+    a, b, shift, u_zero = _poisson_order(m)
+    q = np.zeros(u.shape)
+    live = ~(u > u_zero)                 # a NaN stays live, and stays NaN
+    ul = np.maximum(u[live], 1e-300)     # at u = 0 the prefactor underflows and Q = 1
+    pmf = np.exp(-(_bd0(m, ul) + shift))
+    high = ul >= m + 1
+    low = ~high
+    out = np.empty(ul.shape)
+    out[high] = pmf[high] * _horner(a, m / ul[high])
+    z = ul[low] / (m + 1)
+    out[low] = 1.0 - pmf[low] * z * _horner(b, z)
+    q[live] = out
+    return q
+
+
+def _poisson_tail_at(m: int, u: float) -> float:
+    """_poisson_tail at one u in Python floats, for the root solves of _gh_u_at.
+
+    It runs the same steps an order of magnitude faster than numpy does on
+    one element, and agrees with it to an ulp or two (math and numpy may round
+    log and exp differently).
+    """
+    a, b, shift, u_zero = _poisson_order(m)
+    if u > u_zero:
+        return 0.0
+    u = max(u, 1e-300)
+    pmf = math.exp(-(_bd0(m, u) + shift))
+    if u >= m + 1:
+        return pmf * _horner(a, m / u)
+    z = u / (m + 1)
+    return 1.0 - pmf * z * _horner(b, z)
+
+
+@functools.cache
+def _gh_u_at(m: int, level: float) -> float:
+    """The u = (k/k_s)^2 at which the order-m transfer Q(m+1, u) falls to level in (0, 1)."""
+    return _brentq(lambda u: _poisson_tail_at(m, u) - level, 0.0, _poisson_order(m)[3],
+                   xtol=1e-300, rtol=_RTOL_MIN)
 
 
 @functools.cache
@@ -509,7 +698,9 @@ def _gh_half_height_y(m: int) -> float:
 
 def gh_kernel_quadrature(spec: GaussHermite, x: float) -> float:
     """GH kernel value by adaptive quadrature of the transfer (independent slow route)."""
-    from scipy.integrate import quad  # only this route needs it; keeps imports light
+    # only this route needs scipy, so that importing specfilt loads none of it
+    from scipy.integrate import quad
+    from scipy.special import gammaincc
 
     cut = support_cutoff(spec)
     val, _ = quad(

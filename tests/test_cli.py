@@ -24,16 +24,36 @@ def _rows(text, sep=","):
     return header, body
 
 
-def test_import_leaves_out_integrate_and_interpolate():
-    """Starting the command loads none of scipy.integrate, scipy.interpolate,
-    scipy.optimize and scipy.linalg; the calibration root polish is a private
-    port of brentq."""
+def test_import_and_jobs_load_no_scipy(tmp_path):
+    """Neither starting the command nor its jobs load a scipy module: the GH
+    transfer, its inverse and E1 are private ports, and the calibration root
+    polish a private port of brentq.  The jobs catch an import made lazily."""
     src = pathlib.Path(specfilt.__file__).resolve().parents[1]
-    code = ("import sys, specfilt.cli; print(sorted(m for m in sys.modules if m.startswith(("
-            "'scipy.integrate', 'scipy.interpolate', 'scipy.optimize', 'scipy.linalg'))))")
+    code = "\n".join([
+        "import sys",
+        "import numpy as np",
+        "import specfilt.cli",
+        "from specfilt.engine import write_spectrum",
+        "def scipy_modules():",
+        "    return sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))",
+        "print(scipy_modules())",
+        "x = -10.0 + 0.05 * np.arange(401)",
+        "y = 1.0 / (1.0 + x**2) + np.random.default_rng(7).normal(0.0, 0.01, x.size)",
+        "write_spectrum('line.dat', x, y)",
+        "for argv in (['noise', '--trials', '200', '--grid-n', '32'],",
+        "             ['apply', '--in', 'line.dat', '--family', 'gh', '--m', '20',",
+        "              '--out', 'gh.dat'],",
+        "             ['apply', '--in', 'line.dat', '--family', 'ct', '--out', 'ct.dat'],",
+        "             ['sweep', '--kind', 'gh', '--eta', '2']):",
+        "    assert specfilt.cli.main(argv + ['--no-timestamp']) == 0, argv",
+        "print(scipy_modules())",
+    ])
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env={**os.environ, "PYTHONPATH": str(src)}).stdout
-    assert out.strip() == "[]"
+                         check=True, cwd=tmp_path,
+                         env={**os.environ, "PYTHONPATH": str(src)}).stdout
+    lines = out.strip().splitlines()
+    assert lines[0] == "[]" and lines[-1] == "[]"
+    assert (tmp_path / "gh.dat.report.txt").exists() and (tmp_path / "ct.dat.report.txt").exists()
 
 
 class TestCalibrateCommand:
@@ -244,6 +264,45 @@ class TestSweepCommand:
         _, body = _rows(capsys.readouterr().out)
         assert len(body) == 5
         assert float(body[0][0]) == 0.2 and float(body[-1][0]) == 1.0
+
+    @pytest.mark.parametrize("kind, flag, value", [
+        ("ra-bw", "--m", "7"), ("ra-bw", "--a", "3"), ("ra-bw", "--dk", "0.3"),
+        ("gh", "--m", "7"), ("gh", "--a", "3"), ("gh", "--dk", "0.3"),
+        ("ct", "--m", "7"), ("ct", "--dk", "0.3"),
+    ])
+    def test_unread_parameter_is_rejected(self, kind, flag, value, capsys):
+        """ra-bw and gh read none of --m/--a/--dk, ct reads --a alone."""
+        assert main(["sweep", "--kind", kind, "--eta", "1", flag, value,
+                     "--no-timestamp"]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{flag} is not read by sweep --kind {kind}" in captured.err
+
+    def test_unread_file_value_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("dk = 0.3\n")
+        assert main(["sweep", "--kind", "ct", "--eta", "1", "--config", str(cfg),
+                     "--no-timestamp"]) == EXIT_VALIDATION
+        assert "--dk is not read by sweep --kind ct, got 0.3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind, argv, spec_keys", [
+        ("ct", ["--a", "3"], ["a=3.0"]),
+        ("compare", ["--m", "20", "--a", "3", "--dk", "0.4"], ["m=20", "a=3.0", "dk=0.4"]),
+    ])
+    def test_read_parameters_are_used(self, kind, argv, spec_keys, capsys):
+        assert main(["sweep", "--kind", kind, "--eta", "1", *argv,
+                     "--no-timestamp"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert all(key in out for key in spec_keys)
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--m", "0", "--m must be an integer >= 1, got 0"),
+        ("--a", "0.2", "--a must be >= 1/2, got 0.2"),
+        ("--dk", "0", "--dk must be positive, got 0.0"),
+    ])
+    def test_compare_checks_ranges(self, flag, value, message, capsys):
+        assert main(["sweep", "--kind", "compare", "--eta", "1", flag, value]) == EXIT_VALIDATION
+        assert message in capsys.readouterr().err
 
     def test_failed_points_are_nan_and_counted(self, monkeypatch, capsys):
         """A NaN transfer past k = 6 fails the etas whose range reaches it

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
 from scipy.optimize import brentq
+from scipy.special import gammaincc, gammainccinv
 
 from specfilt import filters, metrics
 from specfilt._gauss import gauss_legendre
@@ -314,6 +315,56 @@ class TestTransfer:
     def test_scalar_in_scalar_out(self):
         out = transfer(BrickWall(1.0), 0.5)
         assert np.ndim(out) == 0
+
+
+_PORT_ORDERS = (1, 2, 5, 10, 20, 50, 100, 200, 1000)
+
+
+class TestSpecialFunctionPorts:
+    """The library's own Q(m+1, u), its inverse and E1 against 40-digit mpmath
+    and against the scipy.special functions they replace."""
+
+    @pytest.mark.parametrize("m", _PORT_ORDERS)
+    def test_q_against_40_digit_oracle(self, m):
+        """Absolute error <= 4e-15 on [0, 2 u_cut], and <= 2e-12 relative where Q >= 1e-300."""
+        u_cut = gammainccinv(m + 1, 1e-15)
+        u = np.unique(np.concatenate([np.linspace(0.0, 2.0 * u_cut, 400),
+                                      m + 1 + math.sqrt(m + 1) * np.linspace(-4.0, 4.0, 201)]))
+        u = u[u >= 0.0]
+        with mpmath.workdps(40):
+            ref = np.array([float(mpmath.gammainc(m + 1, mpmath.mpf(x), mpmath.inf,
+                                                  regularized=True)) for x in u.tolist()])
+        got = filters._poisson_tail(m, u)
+        assert np.max(np.abs(got - ref)) <= 4e-15
+        big = ref >= 1e-300
+        assert np.max(np.abs(got[big] - ref[big]) / ref[big]) <= 2e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 1000), st.lists(st.floats(0.0, 3000.0), min_size=1, max_size=50))
+    def test_q_matches_scipy(self, m, u):
+        u = np.array(u)
+        got = filters._poisson_tail(m, u)
+        assert np.max(np.abs(got - gammaincc(m + 1, u))) <= 4e-15
+
+    @pytest.mark.parametrize("m", (*range(1, 31), 50, 100, 200, 500, 1000))
+    def test_cutoff_and_half_point_match_gammainccinv(self, m):
+        spec = GaussHermite(m, 1.0)
+        assert support_cutoff(spec) ** 2 == pytest.approx(gammainccinv(m + 1, 1e-15), rel=1e-12)
+        assert half_transfer_point(spec) ** 2 == pytest.approx(gammainccinv(m + 1, 0.5), rel=1e-12)
+
+    def test_e1_against_40_digit_oracle(self):
+        """On z = -it, t log-uniform in [1e-8, 1e8]: relative error <= 2e-15 below |z| = 2,
+        and <= 4e-15 beyond."""
+        t = np.exp(np.random.default_rng(17).uniform(math.log(1e-8), math.log(1e8), 2000))
+        t = np.concatenate([t, [np.nextafter(2.0, 0.0), 2.0, 7.7, 112.0]])
+        worst = {True: 0.0, False: 0.0}
+        with mpmath.workdps(40):
+            for x in t.tolist():
+                ref = complex(mpmath.e1(mpmath.mpc(0, -x)))
+                err = abs(filters._e1(complex(0.0, -x)) - ref) / abs(ref)
+                worst[x >= 2.0] = max(worst[x >= 2.0], err)
+        assert worst[False] <= 2e-15
+        assert worst[True] <= 4e-15
 
 
 class TestKernel:
