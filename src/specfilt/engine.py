@@ -10,6 +10,8 @@ truncation.
 
 from __future__ import annotations
 
+import os
+import threading
 import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
@@ -175,6 +177,11 @@ def apply_filter_ds(s: Spectrum, spec: FilterSpec, dx: float | None = None,
 # Monte Carlo trials drawn and transformed together; FFT rows are computed
 # independently, so no result depends on the block size.
 _MC_BLOCK = 128
+# Each trial holds the GIL for a few microseconds in NoiseModel.fill, whatever
+# its size; only its draws and FFT run in parallel.  On smaller grids a second
+# thread made the trials slower on a 2-CPU machine: for 1000 trials, 15 -> 20 ms
+# at 257 points and 22 -> 26 ms at 513, against 46 -> 33 ms at 641.
+_MC_THREAD_MIN_POINTS = 600
 
 
 @dataclass(frozen=True)
@@ -195,7 +202,11 @@ def noise_transmission_empirical(spec: FilterSpec | Sequence[FilterSpec],
     count.  Blocks of trials are drawn through one reused generator and
     transformed once by a forward real FFT; each spec then takes a trial's
     filtered mean square by Parseval, as a weighted sum of the trial's power
-    spectrum, with no inverse transform.  For one spec the result is a
+    spectrum, with no inverse transform.  On grids of _MC_THREAD_MIN_POINTS
+    points or more the blocks are split across threads, one per CPU this
+    process may run on, which share one set of block buffers, so memory does
+    not grow with the CPU count and every value is bit-identical to a
+    one-thread run.  For one spec the result is a
     TransmissionResult; for a sequence of specs it is a list, one entry per
     spec, each equal to the single-spec result.
     """
@@ -217,6 +228,29 @@ def noise_transmission_empirical(spec: FilterSpec | Sequence[FilterSpec],
     return results[0] if single else results
 
 
+def _cpu_count() -> int:
+    """Number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _mc_workers(trials: int, m: int) -> int:
+    """Workers for `trials` Monte Carlo trials on an m-point grid.
+
+    One per CPU this process may run on, once m reaches
+    _MC_THREAD_MIN_POINTS.  Each worker owns _MC_BLOCK // W rows of the
+    block buffers, so W is at most _MC_BLOCK, and it shrinks until every
+    worker has a nonempty block.
+    """
+    if m < _MC_THREAD_MIN_POINTS:
+        return 1
+    w = min(_cpu_count(), _MC_BLOCK)
+    while w > 1 and (w - 1) * (_MC_BLOCK // w) >= trials:
+        w -= 1
+    return w
+
+
 def _mc_mean_squares(weights: list[np.ndarray], noise: "NoiseModel", trials: int,
                      m: int) -> np.ndarray:
     """Mean square over sigma^2 of each trial's noise, filtered by each weight vector.
@@ -227,6 +261,13 @@ def _mc_mean_squares(weights: list[np.ndarray], noise: "NoiseModel", trials: int
     square as sum_k c_k |E_k|^2 |R_k|^2 / m^2, c_0 = 1 and c_k = 2 for
     k >= 1.  Each value is a numpy sum along one row, so it depends on its
     trial alone, not on the block, the batch or the thread count.
+
+    The trials run on W = _mc_workers(trials, m) workers: the calling thread
+    and W - 1 started threads, since draws and FFTs release the GIL.  In
+    blocks of b = _MC_BLOCK // W trials, worker k takes the blocks starting
+    at k b, (k + W) b, ... and owns rows k b to (k + 1) b of the one set of
+    block buffers, so memory does not grow with W.  Every thread is joined
+    before a worker's exception is raised.
     """
     half = m // 2 + 1
     c = np.full(half, 2.0)
@@ -241,16 +282,42 @@ def _mc_mean_squares(weights: list[np.ndarray], noise: "NoiseModel", trials: int
     draws = np.empty((_MC_BLOCK, m))
     eps_k = np.empty((_MC_BLOCK, half), dtype=complex)
     power, weighted = np.empty((_MC_BLOCK, half)), np.empty((_MC_BLOCK, half))
-    for start in range(0, trials, _MC_BLOCK):
-        rows = min(_MC_BLOCK, trials - start)
-        noise.fill(start, draws[:rows])
-        np.fft.rfft(draws[:rows], axis=1, out=eps_k[:rows])
-        parts = eps_k[:rows].view(float)  # real and imaginary parts, interleaved
-        np.square(parts, out=parts)
-        np.add(parts[:, 0::2], parts[:, 1::2], out=power[:rows])
-        for g2, row_w in zip(gains2, rows_w):
-            np.multiply(power[:rows], row_w, out=weighted[:rows])
-            np.sum(weighted[:rows], axis=1, out=g2[start:start + rows])
+    workers = _mc_workers(trials, m)
+    step = _MC_BLOCK // workers
+
+    def run_blocks(k: int) -> None:
+        for start in range(k * step, trials, workers * step):
+            count = min(step, trials - start)
+            rows = slice(k * step, k * step + count)
+            noise.fill(start, draws[rows])
+            np.fft.rfft(draws[rows], axis=1, out=eps_k[rows])
+            parts = eps_k[rows].view(float)  # real and imaginary parts, interleaved
+            np.square(parts, out=parts)
+            np.add(parts[:, 0::2], parts[:, 1::2], out=power[rows])
+            for g2, row_w in zip(gains2, rows_w):
+                np.multiply(power[rows], row_w, out=weighted[rows])
+                np.sum(weighted[rows], axis=1, out=g2[start:start + count])
+
+    errors: list[BaseException] = []
+
+    def run_thread(k: int) -> None:
+        try:
+            run_blocks(k)
+        except BaseException as exc:  # re-raised in the calling thread
+            errors.append(exc)
+
+    started = []
+    try:
+        for k in range(1, workers):
+            t = threading.Thread(target=run_thread, args=(k,))
+            t.start()
+            started.append(t)
+        run_blocks(0)
+    finally:
+        for t in started:
+            t.join()
+    if errors:
+        raise errors[0]
     return gains2
 
 

@@ -27,7 +27,9 @@ def _rows(text, sep=","):
 def test_import_and_jobs_load_no_scipy(tmp_path):
     """Neither starting the command nor its jobs load a scipy module: the GH
     transfer, its inverse and E1 are private ports, and the calibration root
-    polish a private port of brentq.  The jobs catch an import made lazily."""
+    polish a private port of brentq.  The jobs catch an import made lazily.
+    Starting it loads no concurrent.futures either: the Monte Carlo threads
+    are plain threading threads."""
     src = pathlib.Path(specfilt.__file__).resolve().parents[1]
     code = "\n".join([
         "import sys",
@@ -37,6 +39,7 @@ def test_import_and_jobs_load_no_scipy(tmp_path):
         "def scipy_modules():",
         "    return sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))",
         "print(scipy_modules())",
+        "assert not any(m.startswith('concurrent') for m in sys.modules)",
         "x = -10.0 + 0.05 * np.arange(401)",
         "y = 1.0 / (1.0 + x**2) + np.random.default_rng(7).normal(0.0, 0.01, x.size)",
         "write_spectrum('line.dat', x, y)",
@@ -350,17 +353,25 @@ class TestNoiseCommand:
         ]
 
     def test_monte_carlo_independent_of_thread_count(self):
-        # each trial's mean square is a numpy reduction, never a threaded BLAS call
+        # each trial's mean square is a numpy reduction along its own row: the
+        # BLAS thread count does not reach it, and neither does the number of
+        # Monte Carlo worker threads, one per CPU the process may run on
+        # (a grid of 1025 points is split on a multi-CPU machine; the third
+        # run is pinned to one CPU, which runs every trial in one thread)
         src = pathlib.Path(specfilt.__file__).resolve().parents[1]
         argv = [sys.executable, "-m", "specfilt", "noise", "--trials", "300",
-                "--grid-n", "64", "--seed", "5", "--no-timestamp"]
+                "--grid-n", "512", "--seed", "5", "--no-timestamp"]
+        pin = None
+        if hasattr(os, "sched_setaffinity"):
+            def pin():
+                os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
         outs = []
-        for threads in ("1", "2"):
+        for threads, preexec in (("1", None), ("2", None), ("2", pin)):
             env = {**os.environ, "PYTHONPATH": str(src),
                    "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
             outs.append(subprocess.run(argv, capture_output=True, check=True,
-                                       env=env).stdout)
-        assert outs[0] == outs[1]
+                                       env=env, preexec_fn=preexec).stdout)
+        assert outs[0] == outs[1] == outs[2]
         assert b"mc_gain" in outs[0]
 
     def test_small_dk_finishes(self, capsys):

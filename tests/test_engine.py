@@ -1,10 +1,13 @@
 """Discrete transform engine: forward/inverse, both filtering paths, I/O."""
 
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from specfilt import engine
 from specfilt.engine import (
     RsCoefficients,
     SampleGrid,
@@ -35,6 +38,24 @@ def _direct_dft(values):
     for i, kappa in enumerate(j):
         out[i] = np.sum(values * np.exp(-1j * kappa * theta)) / m
     return out
+
+
+class _FailingNoise(NoiseModel):
+    """Noise whose streams from 128 on cannot be drawn."""
+
+    def fill(self, start, out):
+        if start >= 128:
+            raise RuntimeError(f"stream {start} failed")
+        super().fill(start, out)
+
+
+class _FailingOffMainNoise(NoiseModel):
+    """Noise that cannot be drawn outside the main thread."""
+
+    def fill(self, start, out):
+        if threading.current_thread() is not threading.main_thread():
+            raise RuntimeError(f"stream {start} failed off the main thread")
+        super().fill(start, out)
 
 
 def _random_spectrum(rng, n):
@@ -213,6 +234,59 @@ class TestNoiseTransmission:
                                      n=grid.size) ** 2) / sigma**2
                 for t in range(trials)])
             np.testing.assert_allclose(row, want, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("sigma", [1.0, 0.3])
+    @pytest.mark.parametrize("n", [1, 64, 2048])
+    def test_bit_identical_across_worker_counts(self, monkeypatch, n, sigma):
+        # every grid is split here, down to 3 points; 128 is one full block,
+        # 129 leaves a 1-trial block, 300 and 1000 leave partial ones
+        monkeypatch.setattr(engine, "_MC_THREAD_MIN_POINTS", 1)
+        specs = [calibrate("ra", 1.0).spec, calibrate("gh", 1.0, m=20).spec]
+        grid, noise = SampleGrid(n), NoiseModel(sigma, seed=17)
+        weights = [sampled_kernel(s, grid) for s in specs]
+        machine = engine._cpu_count()
+        for trials in (100, 128, 129, 300, 1000):
+            monkeypatch.setattr(engine, "_cpu_count", lambda: 1)
+            want = _mc_mean_squares(weights, noise, trials, grid.size)
+            for cpus in (2, 3, machine):
+                monkeypatch.setattr(engine, "_cpu_count", lambda: cpus)
+                got = _mc_mean_squares(weights, noise, trials, grid.size)
+                assert np.array_equal(got, want), (trials, cpus)
+
+    @pytest.mark.parametrize("trials", [100, 129, 10**5])
+    @pytest.mark.parametrize("cpus", [1, 2, 10_000])
+    def test_worker_count_rule(self, monkeypatch, cpus, trials):
+        def start(thread):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(threading.Thread, "start", start)
+        monkeypatch.setattr(engine, "_cpu_count", lambda: cpus)
+        big = engine._MC_THREAD_MIN_POINTS
+        assert engine._mc_workers(trials, big - 1) == 1
+        workers = engine._mc_workers(trials, big)
+        step = engine._MC_BLOCK // workers
+        # the last worker's first block starts before the last trial
+        assert step >= 1 and (workers - 1) * step < trials
+        assert workers == {1: 1, 2: 2, 10_000: min(trials, 128)}[cpus]
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_failing_worker_raises_after_join(self, monkeypatch, cpus):
+        monkeypatch.setattr(engine, "_MC_THREAD_MIN_POINTS", 1)
+        monkeypatch.setattr(engine, "_cpu_count", lambda: cpus)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="failed"):
+            noise_transmission_empirical(BrickWall(1.0), _FailingNoise(1.0, seed=3),
+                                         trials=300, grid=SampleGrid(32))
+        assert threading.active_count() == before
+
+    def test_failing_started_thread_raises_in_caller(self, monkeypatch):
+        monkeypatch.setattr(engine, "_MC_THREAD_MIN_POINTS", 1)
+        monkeypatch.setattr(engine, "_cpu_count", lambda: 2)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="off the main thread"):
+            noise_transmission_empirical(BrickWall(1.0), _FailingOffMainNoise(1.0, seed=3),
+                                         trials=300, grid=SampleGrid(32))
+        assert threading.active_count() == before
 
 
 class TestReconstruct:
