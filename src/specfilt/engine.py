@@ -174,9 +174,12 @@ def apply_filter_ds(s: Spectrum, spec: FilterSpec, dx: float | None = None,
     return Spectrum(s.grid, out)
 
 
-# Monte Carlo trials drawn and transformed together; FFT rows are computed
-# independently, so no result depends on the block size.
+# Most Monte Carlo trials drawn and transformed together; FFT rows are
+# computed independently, so no result depends on the block size.
 _MC_BLOCK = 128
+# Bytes the block buffers may take: a block row costs 16 bytes per grid point,
+# so grids of 2049 points or more get fewer than _MC_BLOCK rows.
+_MC_BUDGET = 4 << 20
 # Each trial holds the GIL for a few microseconds in NoiseModel.fill, whatever
 # its size; only its draws and FFT run in parallel.  On smaller grids a second
 # thread made the trials slower on a 2-CPU machine: for 1000 trials, 15 -> 20 ms
@@ -206,9 +209,10 @@ def noise_transmission_empirical(spec: FilterSpec | Sequence[FilterSpec],
     points or more the blocks are split across threads, one per CPU this
     process may run on, which share one set of block buffers, so memory does
     not grow with the CPU count and every value is bit-identical to a
-    one-thread run.  For one spec the result is a
-    TransmissionResult; for a sequence of specs it is a list, one entry per
-    spec, each equal to the single-spec result.
+    one-thread run.  Blocks shrink on large grids so that the buffers stay
+    within about 4 MiB whatever the grid size, down to one trial per thread.
+    For one spec the result is a TransmissionResult; for a sequence of specs
+    it is a list, one entry per spec, each equal to the single-spec result.
     """
     if trials < 100:
         raise ValueError(f"need at least 100 trials, got {trials}")
@@ -235,18 +239,27 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
+def _mc_rows(workers: int, m: int) -> int:
+    """Rows of the block buffers for `workers` workers on an m-point grid.
+
+    As many as fit in _MC_BUDGET at 16 bytes per point, at most _MC_BLOCK,
+    and at least one per worker.
+    """
+    return min(_MC_BLOCK, max(workers, _MC_BUDGET // (16 * m)))
+
+
 def _mc_workers(trials: int, m: int) -> int:
     """Workers for `trials` Monte Carlo trials on an m-point grid.
 
     One per CPU this process may run on, once m reaches
-    _MC_THREAD_MIN_POINTS.  Each worker owns _MC_BLOCK // W rows of the
+    _MC_THREAD_MIN_POINTS.  Each worker owns _mc_rows(W, m) // W rows of the
     block buffers, so W is at most _MC_BLOCK, and it shrinks until every
     worker has a nonempty block.
     """
     if m < _MC_THREAD_MIN_POINTS:
         return 1
     w = min(_cpu_count(), _MC_BLOCK)
-    while w > 1 and (w - 1) * (_MC_BLOCK // w) >= trials:
+    while w > 1 and (w - 1) * (_mc_rows(w, m) // w) >= trials:
         w -= 1
     return w
 
@@ -264,10 +277,14 @@ def _mc_mean_squares(weights: list[np.ndarray], noise: "NoiseModel", trials: int
 
     The trials run on W = _mc_workers(trials, m) workers: the calling thread
     and W - 1 started threads, since draws and FFTs release the GIL.  In
-    blocks of b = _MC_BLOCK // W trials, worker k takes the blocks starting
-    at k b, (k + W) b, ... and owns rows k b to (k + 1) b of the one set of
-    block buffers, so memory does not grow with W.  Every thread is joined
-    before a worker's exception is raised.
+    blocks of b = _mc_rows(W, m) // W trials, worker k takes the blocks
+    starting at k b, (k + W) b, ... and owns rows k b to (k + 1) b of the one
+    set of block buffers, so memory does not grow with W.  The buffers are
+    one draw row and one transform row per block row, 16 bytes per point;
+    the power spectrum overwrites the dead draws and the weighted power the
+    dead transform.  They take at most _MC_BUDGET bytes whatever m is, unless
+    a single row per worker takes more.  Every thread is joined before a
+    worker's exception is raised.
     """
     half = m // 2 + 1
     c = np.full(half, 2.0)
@@ -277,13 +294,12 @@ def _mc_mean_squares(weights: list[np.ndarray], noise: "NoiseModel", trials: int
         r = np.fft.rfft(np.fft.ifftshift(w))
         rows_w.append(c * (r.real**2 + r.imag**2) / (m * m * noise.sigma**2))
     gains2 = np.empty((len(weights), trials))
+    workers = _mc_workers(trials, m)
+    step = _mc_rows(workers, m) // workers
     # One set of block buffers for the whole run: a fresh megabyte-sized
     # array per block would be mapped, faulted in and unmapped every time.
-    draws = np.empty((_MC_BLOCK, m))
-    eps_k = np.empty((_MC_BLOCK, half), dtype=complex)
-    power, weighted = np.empty((_MC_BLOCK, half)), np.empty((_MC_BLOCK, half))
-    workers = _mc_workers(trials, m)
-    step = _MC_BLOCK // workers
+    draws = np.empty((workers * step, m))
+    eps_k = np.empty((workers * step, half), dtype=complex)
 
     def run_blocks(k: int) -> None:
         for start in range(k * step, trials, workers * step):
@@ -293,10 +309,12 @@ def _mc_mean_squares(weights: list[np.ndarray], noise: "NoiseModel", trials: int
             np.fft.rfft(draws[rows], axis=1, out=eps_k[rows])
             parts = eps_k[rows].view(float)  # real and imaginary parts, interleaved
             np.square(parts, out=parts)
-            np.add(parts[:, 0::2], parts[:, 1::2], out=power[rows])
+            power = draws[rows, :half]  # the draws are dead once transformed
+            np.add(parts[:, 0::2], parts[:, 1::2], out=power)
+            weighted = parts[:, :half]  # the transform is dead once squared
             for g2, row_w in zip(gains2, rows_w):
-                np.multiply(power[rows], row_w, out=weighted[rows])
-                np.sum(weighted[rows], axis=1, out=g2[start:start + count])
+                np.multiply(power, row_w, out=weighted)
+                np.sum(weighted, axis=1, out=g2[start:start + count])
 
     errors: list[BaseException] = []
 
@@ -405,11 +423,18 @@ def _read_rows(path: str, fh) -> np.ndarray:
     return np.array(rows, dtype=float).reshape(-1, 2)
 
 
+# write_spectrum formats this many rows into one string per write, so its
+# Python floats and text stay bounded whatever the file length
+_WRITE_ROWS = 8192
+
+
 def write_spectrum(path: str, x: np.ndarray, values: np.ndarray,
                    header: list[str] | None = None) -> None:
     """Write a two-column x/f text file with optional '#' header lines."""
+    x, values = np.asarray(x), np.asarray(values)
     with open(path, "w") as fh:
         for line in header or []:
             fh.write(f"# {line}\n")
-        for xi, vi in zip(np.asarray(x).tolist(), np.asarray(values).tolist()):
-            fh.write(f"{xi!r} {vi!r}\n")
+        for i in range(0, len(x), _WRITE_ROWS):
+            rows = zip(x[i:i + _WRITE_ROWS].tolist(), values[i:i + _WRITE_ROWS].tolist())
+            fh.write("".join(f"{xi!r} {vi!r}\n" for xi, vi in rows))

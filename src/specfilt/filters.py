@@ -76,8 +76,8 @@ class _Family:
     parameters it reads.  ``_noise_integrals`` returns (ds, rs): the integral of
     b(x)^2 over x and of B(k)^2 over k / (2 pi), by routes that share no
     evaluation, so that ``noise_gain`` can hold them to Parseval.  Methods
-    call the module functions (``kernel``, ``gh_kernel_quadrature``, ...),
-    not each other, so that a wrapper bound to those names sees every call;
+    call the module functions (``kernel``, ``transfer``, ...), not each
+    other, so that a wrapper bound to those names sees every call;
     only the calibration scans, which run at unit scale on no spec, call
     ``_ct_kernel`` and ``_gh_sum`` directly.
     """

@@ -216,7 +216,7 @@ def noise_gain(spec: FilterSpec) -> NoiseReport:
     if abs(ds - rs) > 1e-9 * abs(ds):
         raise QuadratureError(
             f"direct- and reciprocal-space noise integrals disagree: "
-            f"{ds!r} vs {rs!r}"
+            f"{float(ds)!r} vs {float(rs)!r}"
         )
     return NoiseReport(rms_gain=float(np.sqrt(rs)), ds_value=float(ds),
                        rs_value=float(rs))

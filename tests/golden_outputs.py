@@ -55,6 +55,8 @@ def _cli_commands() -> list[tuple[str, list[str]]]:
         ("noise", ["noise"]),
         ("noise_x18", ["noise", "--x0", "18.791550682890122", "--m", "20"]),
         ("noise_mc", ["noise", "--trials", "300", "--grid-n", "64", "--seed", "3"]),
+        # 4097 points: blocks of fewer than 128 trials
+        ("noise_mc_2048", ["noise", "--trials", "200", "--grid-n", "2048", "--seed", "5"]),
     ]
     cmds += [
         ("roundtrip_calibrate", ["calibrate", "--family", "gh", "--m", "20", "--x0", "0.5",

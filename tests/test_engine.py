@@ -1,6 +1,7 @@
 """Discrete transform engine: forward/inverse, both filtering paths, I/O."""
 
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -263,11 +264,31 @@ class TestNoiseTransmission:
         monkeypatch.setattr(engine, "_cpu_count", lambda: cpus)
         big = engine._MC_THREAD_MIN_POINTS
         assert engine._mc_workers(trials, big - 1) == 1
-        workers = engine._mc_workers(trials, big)
-        step = engine._MC_BLOCK // workers
-        # the last worker's first block starts before the last trial
-        assert step >= 1 and (workers - 1) * step < trials
-        assert workers == {1: 1, 2: 2, 10_000: min(trials, 128)}[cpus]
+        # 128-row blocks, 63 rows in the budget, and one row per worker
+        for m, fit in ((big, 128), (4097, 63), (300_001, 1)):
+            workers = engine._mc_workers(trials, m)
+            rows = engine._mc_rows(workers, m)
+            step = rows // workers
+            # the last worker's first block starts before the last trial
+            assert step >= 1 and (workers - 1) * step < trials
+            assert workers == {1: 1, 2: 2, 10_000: min(trials, 128)}[cpus]
+            assert rows == min(128, max(workers, fit))
+            # within the budget, unless each worker holds a single row
+            assert 16 * m * rows <= engine._MC_BUDGET or step == 1
+
+    def test_block_memory_is_bounded(self, monkeypatch):
+        # a full block of 128 rows would take 34 MB on this grid; with many
+        # CPUs the one-row-per-worker floor would exceed the budget
+        monkeypatch.setattr(engine, "_cpu_count", lambda: 2)
+        grid = SampleGrid(8192)
+        weights = [sampled_kernel(calibrate("ra", 1.0).spec, grid)]
+        tracemalloc.start()
+        try:
+            _mc_mean_squares(weights, NoiseModel(1.0, seed=3), 100, grid.size)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * engine._MC_BUDGET + sum(w.nbytes for w in weights)
 
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     def test_failing_worker_raises_after_join(self, monkeypatch, cpus):
@@ -313,6 +334,14 @@ class TestSpectrumIo:
         s, x0, dx = read_spectrum(path)
         assert (x0, dx) == (-3.0, pytest.approx(0.1, rel=1e-12))
         np.testing.assert_array_equal(s.values, v)
+
+    def test_rows_split_across_writes(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(engine, "_WRITE_ROWS", 4)
+        path = tmp_path / "s.dat"
+        x, v = 0.1 * np.arange(11), np.sqrt(np.arange(11.0))
+        write_spectrum(str(path), x, v, ["demo"])
+        assert path.read_text() == "# demo\n" + "".join(
+            f"{a!r} {b!r}\n" for a, b in zip(x.tolist(), v.tolist()))
 
     def test_even_count_rejected(self, tmp_path):
         path = str(tmp_path / "s.dat")

@@ -239,6 +239,16 @@ class TestNoiseGain:
         assert noise_gain(calibrate("ct", 1.0, a=5.0, dk=0.5).spec
                           ).rms_gain == pytest.approx(0.7671765734336621, rel=1e-9)
 
+    def test_mismatch_message_prints_plain_floats(self):
+        class Disagreeing(BrickWall):
+            def _noise_integrals(self):
+                return np.float64(0.25), 0.5
+
+        with pytest.raises(QuadratureError) as info:
+            noise_gain(Disagreeing(1.0))
+        assert str(info.value) == \
+            "direct- and reciprocal-space noise integrals disagree: 0.25 vs 0.5"
+
     def test_ra_closed_identity(self):
         rep = noise_gain(calibrate("ra", 2.0).spec)
         assert rep.rs_value == pytest.approx(0.25, rel=1e-10)
