@@ -130,10 +130,12 @@ def exp_weighted(g: Callable[[np.ndarray], np.ndarray], rates, ends, cuts,
     for level in np.unique(levels):
         sel = np.nonzero(levels == level)[0]
         top = float(ends[sel].max())
-        step = width * 2.0 ** -level
-        fine = min(step, width)
+        # the coarse step width * 2**-level is taken only past flat_from: at
+        # slow rates it can overflow where no flat part needs it
+        fine = width * 2.0 ** -max(level, 0)
         head = min(flat_from, top)
         n_head = int(head / fine) + 1
+        step = width * 2.0 ** -level if flat_from < top else fine
         n_flat = int((top - flat_from) / step) + 1 if flat_from < top else 0
         if not n_head + n_flat <= MAX_PANELS:
             values[sel], errors[sel] = np.nan, np.inf

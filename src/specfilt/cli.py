@@ -336,28 +336,31 @@ def cmd_sweep(cfg: RunConfig, command: str) -> int:
     refs = np.array([mse_bw_analytic(e, x0) for e in etas])
     failures = 0
 
-    def ratios(spec: FilterSpec) -> list[float]:
+    def ratios(num, den=refs) -> list[float]:
+        """num / den by eta; each cell that is not finite is NaN and counted."""
         nonlocal failures
-        mse = mse_numeric(lines, spec)
-        failures += int(np.count_nonzero(np.isnan(mse)))
-        return (mse / refs).tolist()
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.asarray(num) / den
+        bad = ~np.isfinite(ratio)
+        failures += int(np.count_nonzero(bad))
+        return np.where(bad, np.nan, ratio).tolist()
 
     if kind == "ra-bw":
         ra = calibrate("ra", x0).spec
         bw = calibrate("bw", x0).spec
         meta += [f"spec_ra: {_spec_line(ra)}", f"spec_bw: {_spec_line(bw)}"]
         columns += ["mse_ra", "mse_bw", "ratio_closed", "ratio_published"]
-        rows = []
-        for e, mbw in zip(etas, refs):
-            mra = mse_ra_analytic(e, x0)
-            rows.append([e, mra, mbw, mra / mbw, mse_ratio_ra_bw(e)])
+        mra = [mse_ra_analytic(e, x0) for e in etas]
+        with np.errstate(over="ignore", invalid="ignore"):  # exp overflows past eta ~ 187
+            published = [mse_ratio_ra_bw(e) for e in etas]
+        rows = [list(r) for r in zip(etas, mra, refs, ratios(mra), ratios(published, 1.0))]
     elif kind == "gh":
         ms = _parse_list(cfg.get("m_list", "1,2,5,10,20,50,100"), int, "--m-list", cfg)
         cfg.finish()
         specs = {m: calibrate("gh", x0, m=m).spec for m in ms}
         meta += [f"spec_gh_m{m}: {_spec_line(s)}" for m, s in specs.items()]
         columns += [f"ratio_m{m}" for m in ms]
-        rows = [list(r) for r in zip(etas, *(ratios(s) for s in specs.values()))]
+        rows = [list(r) for r in zip(etas, *(ratios(mse_numeric(lines, s)) for s in specs.values()))]
     elif kind == "ct":
         a = cfg.get("a", _ct_defaults(x0)["a"])
         dk_list = cfg.get("dk_list")
@@ -368,7 +371,7 @@ def cmd_sweep(cfg: RunConfig, command: str) -> int:
         specs = {dk: calibrate("ct", x0, a=a, dk=dk).spec for dk in dks}
         meta += [f"spec_ct_dk{dk}: {_spec_line(s)}" for dk, s in specs.items()]
         columns += [f"ratio_dk{dk}" for dk in dks]
-        rows = [list(r) for r in zip(etas, *(ratios(s) for s in specs.values()))]
+        rows = [list(r) for r in zip(etas, *(ratios(mse_numeric(lines, s)) for s in specs.values()))]
     else:  # compare
         m = cfg.get("m", 100)
         shape = {name: cfg.get(name, value) for name, value in _ct_defaults(x0).items()}
@@ -378,8 +381,8 @@ def cmd_sweep(cfg: RunConfig, command: str) -> int:
         ct = calibrate("ct", x0, **shape).spec
         meta += [f"spec_gh: {_spec_line(gh)}", f"spec_ct: {_spec_line(ct)}"]
         columns += ["ratio_ra", f"ratio_gh_m{m}", "ratio_ct"]
-        ra = [mse_ra_analytic(e, x0) / ref for e, ref in zip(etas, refs)]
-        rows = [list(r) for r in zip(etas, ra, ratios(gh), ratios(ct))]
+        ra = ratios([mse_ra_analytic(e, x0) for e in etas])
+        rows = [list(r) for r in zip(etas, ra, *(ratios(mse_numeric(lines, s)) for s in (gh, ct)))]
     writer = TableWriter(cfg, command, meta)
     writer.write(columns, rows)
     if failures:
@@ -440,9 +443,8 @@ def cmd_apply(cfg: RunConfig, command: str) -> int:
     m_total = spectrum.grid.size
     k_scale = 2.0 * np.pi / (m_total * dx)
     # the report always comes from the RS route; on --path rs its output is
-    # the filtered spectrum too.  noise_cutoff reads the same forward DFT.
-    coeffs = dft_forward(spectrum)
-    filtered, gibbs = reconstruct_with_report(spectrum, spec, k_scale=k_scale, coeffs=coeffs)
+    # the filtered spectrum too
+    filtered, gibbs = reconstruct_with_report(spectrum, spec, k_scale=k_scale)
     if path == "ds":
         filtered = apply_filter_ds(spectrum, spec, dx=dx)
     x = x_start + dx * np.arange(m_total)
@@ -456,7 +458,7 @@ def cmd_apply(cfg: RunConfig, command: str) -> int:
 
     gain = noise_gain(spec)
     grid_gain = float(np.sqrt(np.sum(sampled_kernel(spec, spectrum.grid, dx=dx) ** 2)))
-    cutoff = noise_cutoff(coeffs) if spectrum.grid.size >= 129 else None
+    cutoff = noise_cutoff(dft_forward(spectrum)) if spectrum.grid.size >= 129 else None
     period_x = gibbs.period_estimate * m_total * dx / (2.0 * np.pi)
     report_lines = [
         f"# specfilt {__version__} apply report",

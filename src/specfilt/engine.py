@@ -2,14 +2,18 @@
 
 Grids carry 2N+1 points theta_j = 2*pi*j/(2N+1), j in [-N, N].  The forward
 transform carries the 1/(2N+1) normalization, the inverse carries none, so
-Parseval reads sum|f_j|^2 = (2N+1) * sum|F_k|^2.  Filters apply either by
-reciprocal-space multiplication or by direct-space circular convolution with a
-sampled, truncated, renormalized kernel; the two paths agree up to the kernel
-truncation.
+Parseval reads sum|f_j|^2 = (2N+1) * sum|F_k|^2.  A spectrum is real, so its
+coefficients for k < 0 are the conjugates of those for k > 0: each Spectrum
+takes one real FFT of its samples, the k = 0..N half, on first use and keeps
+it.  Filters apply either by reciprocal-space multiplication or by
+direct-space circular convolution with a sampled, truncated, renormalized
+kernel, both as a product with that half and one inverse real FFT; the two
+paths agree up to the kernel truncation.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 import threading
 import warnings
@@ -66,16 +70,29 @@ class SampleGrid:
 
 @dataclass(frozen=True)
 class Spectrum:
+    """2N+1 real samples on a grid; values is a read-only copy it owns."""
+
     grid: SampleGrid
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        vals = np.asarray(self.values, dtype=float)
+        vals = np.array(self.values, dtype=float)
         if vals.shape != (self.grid.size,):
             raise ValueError(
                 f"expected {self.grid.size} real samples, got shape {vals.shape}"
             )
+        vals.flags.writeable = False  # so the memoized transform stays valid
         object.__setattr__(self, "values", vals)
+
+    @functools.cached_property
+    def _half(self) -> np.ndarray:
+        """(2N+1) F_k for k = 0..N: the rfft of the samples, theta = 0 first."""
+        return np.fft.rfft(np.fft.ifftshift(self.values))
+
+
+def _from_half(grid: SampleGrid, half: np.ndarray) -> Spectrum:
+    """The spectrum whose Spectrum._half is `half`, by one inverse real FFT."""
+    return Spectrum(grid, np.fft.fftshift(np.fft.irfft(half, n=grid.size)))
 
 
 @dataclass(frozen=True)
@@ -94,9 +111,8 @@ class RsCoefficients:
 
 def dft_forward(s: Spectrum) -> RsCoefficients:
     """F_k = (1/(2N+1)) * sum_j f_j exp(-i k theta_j), k in [-N, N]."""
-    m = s.grid.size
-    coeffs = np.fft.fftshift(np.fft.fft(np.fft.ifftshift(s.values))) / m
-    return RsCoefficients(s.grid, coeffs)
+    half = s._half / s.grid.size
+    return RsCoefficients(s.grid, np.concatenate((np.conj(half[:0:-1]), half)))
 
 
 def dft_inverse(c: RsCoefficients) -> Spectrum:
@@ -109,12 +125,7 @@ def dft_inverse(c: RsCoefficients) -> Spectrum:
             f"coefficients are not Hermitian-symmetric (asymmetry {asym:.3e}); "
             "a real spectrum requires F(-k) = conj(F(k))"
         )
-    m = c.grid.size
-    vals = np.fft.fftshift(np.fft.ifft(np.fft.ifftshift(coeffs))) * m
-    resid = float(np.max(np.abs(vals.imag)))
-    if resid > 1e-10 * max(1.0, float(np.max(np.abs(vals.real)))):
-        raise ValueError(f"inverse transform left imaginary residue {resid:.3e}")
-    return Spectrum(c.grid, vals.real)
+    return _from_half(c.grid, coeffs[c.grid.n:] * c.grid.size)
 
 
 # sampled_kernel drops the weights beyond the last one of at least this
@@ -152,26 +163,21 @@ def sampled_kernel(spec: FilterSpec, grid: SampleGrid, dx: float | None = None,
     return w * dx / total
 
 
-def apply_filter_rs(s: Spectrum, spec: FilterSpec, k_scale: float = 1.0,
-                    coeffs: RsCoefficients | None = None) -> Spectrum:
+def apply_filter_rs(s: Spectrum, spec: FilterSpec, k_scale: float = 1.0) -> Spectrum:
     """Multiply coefficients by B(k_scale * kappa) and transform back.
 
-    coeffs, when given, is dft_forward(s), already taken by the caller.
+    B is even, so the k = 0..N half of the coefficients carries the result.
     """
     if not k_scale > 0:
         raise ValueError(f"k_scale must be positive, got {k_scale}")
-    c = dft_forward(s) if coeffs is None else coeffs
-    shaped = c.coeffs * transfer(spec, k_scale * c.grid.indices)
-    return dft_inverse(RsCoefficients(s.grid, shaped))
+    return _from_half(s.grid, s._half * transfer(spec, k_scale * np.arange(s.grid.n + 1)))
 
 
 def apply_filter_ds(s: Spectrum, spec: FilterSpec, dx: float | None = None,
                     radius: int | None = None) -> Spectrum:
     """Circular convolution with the sampled kernel (direct-space path)."""
     w = sampled_kernel(spec, s.grid, dx=dx, radius=radius)
-    f = np.fft.rfft(np.fft.ifftshift(s.values)) * np.fft.rfft(np.fft.ifftshift(w))
-    out = np.fft.fftshift(np.fft.irfft(f, n=s.grid.size))
-    return Spectrum(s.grid, out)
+    return _from_half(s.grid, s._half * np.fft.rfft(np.fft.ifftshift(w)))
 
 
 # Most Monte Carlo trials drawn and transformed together; FFT rows are
@@ -339,16 +345,12 @@ def _mc_mean_squares(weights: list[np.ndarray], noise: "NoiseModel", trials: int
     return gains2
 
 
-def reconstruct_with_report(s: Spectrum, spec: FilterSpec, k_scale: float = 1.0,
-                            coeffs: RsCoefficients | None = None
+def reconstruct_with_report(s: Spectrum, spec: FilterSpec, k_scale: float = 1.0
                             ) -> tuple[Spectrum, "GibbsReport"]:
-    """Filter along the RS path and report the residual oscillation.
-
-    coeffs, when given, is dft_forward(s), already taken by the caller.
-    """
+    """Filter along the RS path and report the residual oscillation."""
     from .metrics import GibbsReport, estimate_period
 
-    filtered = apply_filter_rs(s, spec, k_scale=k_scale, coeffs=coeffs)
+    filtered = apply_filter_rs(s, spec, k_scale=k_scale)
     residual = filtered.values - s.values
     theta = s.grid.theta
     peak = float(np.max(np.abs(residual)))

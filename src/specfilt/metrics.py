@@ -106,11 +106,11 @@ def mse_numeric(line: LorentzianLine | Sequence[LorentzianLine],
     """2*pi * integral |F|^2 (1-B)^2 dk by composite Gauss-Legendre quadrature.
 
     Panels split at the breakpoints of the transfer and the rule's error
-    estimate (n against 2n nodes per panel) must meet epsrel 1e-10.  For one
-    LorentzianLine the result is a float and a missed estimate raises
-    QuadratureError.  For a sequence of lines the result is an array, one
-    entry per line, NaN wherever the estimate was missed; each entry equals
-    the single-line result.
+    estimate (n against 2n nodes per panel) must be at most
+    max(1e-14, 1e-10 |value|).  For one LorentzianLine the result is a float
+    and a missed estimate raises QuadratureError.  For a sequence of lines
+    the result is an array, one entry per line, NaN wherever the estimate was
+    missed; each entry equals the single-line result.
     """
     if isinstance(line, LorentzianLine):
         value = float(_mse_integrals([line], spec)[0])

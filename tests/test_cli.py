@@ -321,6 +321,19 @@ class TestSweepCommand:
         assert np.isnan(cells[:3]).all() and np.isfinite(cells[3:]).all()
         assert "warning: 3 sweep point(s) failed and were marked NaN" in captured.err
 
+    @pytest.mark.parametrize("argv, ratios", [
+        (["--kind", "ra-bw", "--eta", "300"], 2),
+        (["--kind", "gh", "--eta", "200", "--m-list", "20"], 1),
+    ])
+    def test_ratio_that_is_not_finite_is_nan_and_counted(self, argv, ratios, capsys):
+        """At large eta the BW reference MSE underflows to 0: the ratio cells
+        are NaN, never inf, and no numpy warning leaks."""
+        assert main(["sweep", *argv, "--no-timestamp"]) == EXIT_OK
+        captured = capsys.readouterr()
+        _, body = _rows(captured.out)
+        assert all(cell == "nan" for cell in body[0][-ratios:])
+        assert f"warning: {ratios} sweep point(s) failed and were marked NaN" in captured.err
+
 
 class TestNoiseCommand:
     def test_family_order_and_values(self, capsys):
@@ -390,6 +403,14 @@ class TestNoiseCommand:
         _, unit = _rows(capsys.readouterr().out)
         # the same ct shape: rms gain times sqrt(x0) is the x0 = 1 gain
         assert float(body[3][1]) * x0**0.5 == pytest.approx(float(unit[3][1]), rel=1e-12)
+
+    def test_tiny_x0_warns_of_no_overflow(self, capsys):
+        # the quadrature's coarse step at slow rates would exceed the float range
+        assert main(["noise", "--x0", "1e-300", "--no-timestamp"]) == EXIT_OK
+        _, body = _rows(capsys.readouterr().out)
+        assert body[0][1] == "7.071067811865476e+149"
+        for row in body:
+            assert float(row[2]) == pytest.approx(float(row[3]), rel=1e-9)
 
     def test_panel_budget_is_a_numeric_failure(self, capsys):
         # k_1/dk ~ 19000 needs more panels than the quadrature core allows

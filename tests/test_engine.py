@@ -25,7 +25,7 @@ from specfilt.engine import (
     sampled_kernel,
     write_spectrum,
 )
-from specfilt.filters import BrickWall, RunningAverage, calibrate
+from specfilt.filters import BrickWall, RunningAverage, calibrate, transfer
 from specfilt.lineshapes import NoiseModel, pseudo_lorentzian_discrete
 
 
@@ -80,6 +80,14 @@ class TestSampleGrid:
             Spectrum(SampleGrid(3), np.zeros(5))
         with pytest.raises(ValueError):
             RsCoefficients(SampleGrid(3), np.zeros(5, dtype=complex))
+
+    def test_spectrum_values_are_read_only_and_owned(self):
+        source = np.zeros(7)
+        s = Spectrum(SampleGrid(3), source)
+        with pytest.raises(ValueError):
+            s.values[0] = 1.0
+        source[0] = 1.0
+        assert s.values[0] == 0.0
 
 
 class TestTransforms:
@@ -183,6 +191,27 @@ class TestFilterPaths:
         s = pseudo_lorentzian_discrete(0.5, 16)
         with pytest.raises(ValueError):
             apply_filter_rs(s, BrickWall(1.0), k_scale=0.0)
+
+    @pytest.mark.parametrize("family, params",
+                             [("bw", {}), ("ct", {"a": 5.0, "dk": 0.5}), ("gh", {"m": 20})])
+    def test_rs_matches_complex_fft_at_bluestein_length(self, family, params):
+        """200 001 = 3 * 163 * 409 points, a length pocketfft runs by
+        Bluestein: the real-FFT RS route matches a complex-FFT reference to
+        the FFT roundoff scale, eps * log2(2N+1) of the largest value."""
+        grid = SampleGrid(100_000)
+        m, dx = grid.size, 0.01
+        x = grid.indices * dx
+        rng = np.random.default_rng(11)
+        lines = sum(1.0 / (1.0 + ((x - c) / 3.0) ** 2) for c in (-300.0, 0.0, 410.0))
+        s = Spectrum(grid, 0.05 + lines + rng.normal(0.0, 0.02, m))
+        spec = calibrate(family, 1.0, **params).spec
+        k_scale = 2.0 * np.pi / (m * dx)
+        coeffs = np.fft.fftshift(np.fft.fft(np.fft.ifftshift(s.values))) / m
+        shaped = coeffs * transfer(spec, k_scale * grid.indices)
+        ref = np.fft.fftshift(np.fft.ifft(np.fft.ifftshift(shaped))).real * m
+        out = apply_filter_rs(s, spec, k_scale=k_scale).values
+        tol = np.finfo(float).eps * np.log2(m) * np.max(np.abs(ref))
+        assert np.max(np.abs(out - ref)) <= tol
 
 
 class TestNoiseTransmission:
