@@ -15,7 +15,6 @@ from .engine import (
     apply_filter_ds,
     apply_filter_rs,
     dft_forward,
-    dft_inverse,
     noise_transmission_empirical,
     read_spectrum,
     reconstruct_with_report,
@@ -44,14 +43,11 @@ from .lineshapes import (
     EtaRatio,
     LorentzianLine,
     NoiseModel,
-    add_white_noise,
-    lorentzian_ds,
     lorentzian_rs,
     pseudo_lorentzian_discrete,
 )
 from .metrics import (
     GibbsReport,
-    MseBreakdown,
     NoiseReport,
     QuadratureError,
     crossover_eta,
@@ -60,7 +56,6 @@ from .metrics import (
     mse_numeric,
     mse_ra_analytic,
     mse_ratio_ra_bw,
-    mse_with_noise,
     noise_cutoff,
     noise_gain,
 )

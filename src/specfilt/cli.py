@@ -22,7 +22,6 @@ from . import __version__
 from .engine import (
     SampleGrid,
     apply_filter_ds,
-    dft_forward,
     noise_transmission_empirical,
     read_spectrum,
     reconstruct_with_report,
@@ -427,6 +426,11 @@ def cmd_noise(cfg: RunConfig, command: str) -> int:
     return EXIT_OK
 
 
+# apply searches for a noise cutoff only on files of at least this many points,
+# 64 positive frequencies beside k = 0
+_CUTOFF_MIN_POINTS = 129
+
+
 def cmd_apply(cfg: RunConfig, command: str) -> int:
     src = cfg.require("infile")
     cfg.finish()
@@ -458,15 +462,20 @@ def cmd_apply(cfg: RunConfig, command: str) -> int:
 
     gain = noise_gain(spec)
     grid_gain = float(np.sqrt(np.sum(sampled_kernel(spec, spectrum.grid, dx=dx) ** 2)))
-    cutoff = noise_cutoff(dft_forward(spectrum)) if spectrum.grid.size >= 129 else None
+    if m_total < _CUTOFF_MIN_POINTS:
+        cutoff_line = (f"noise_cutoff: not searched: {m_total} points, "
+                       f"fewer than the {_CUTOFF_MIN_POINTS} it needs")
+    else:
+        cutoff = noise_cutoff(spectrum)
+        cutoff_line = ("noise_cutoff: no cutoff found" if cutoff is None
+                       else "noise_cutoff_k=" + repr(cutoff * k_scale))
     period_x = gibbs.period_estimate * m_total * dx / (2.0 * np.pi)
     report_lines = [
         f"# specfilt {__version__} apply report",
         f"spec: {_spec_line(spec, x0)}",
         f"rms_noise_gain_continuum={gain.rms_gain!r}",
         f"rms_noise_gain_grid={grid_gain!r}",
-        ("noise_cutoff_k=" + repr(cutoff * k_scale)) if cutoff is not None
-        else "noise_cutoff: no cutoff found",
+        cutoff_line,
         f"gibbs_peak_amplitude={gibbs.peak_amplitude!r}",
         f"gibbs_period_x={period_x!r}",
     ]

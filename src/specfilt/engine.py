@@ -33,7 +33,6 @@ __all__ = [
     "Spectrum",
     "RsCoefficients",
     "dft_forward",
-    "dft_inverse",
     "sampled_kernel",
     "apply_filter_rs",
     "apply_filter_ds",
@@ -113,19 +112,6 @@ def dft_forward(s: Spectrum) -> RsCoefficients:
     """F_k = (1/(2N+1)) * sum_j f_j exp(-i k theta_j), k in [-N, N]."""
     half = s._half / s.grid.size
     return RsCoefficients(s.grid, np.concatenate((np.conj(half[:0:-1]), half)))
-
-
-def dft_inverse(c: RsCoefficients) -> Spectrum:
-    """f_j = sum_k F_k exp(i k theta_j); rejects non-Hermitian coefficients."""
-    coeffs = c.coeffs
-    scale = float(np.max(np.abs(coeffs))) or 1.0
-    asym = float(np.max(np.abs(coeffs - np.conj(coeffs[::-1]))))
-    if asym > 1e-10 * scale:
-        raise ValueError(
-            f"coefficients are not Hermitian-symmetric (asymmetry {asym:.3e}); "
-            "a real spectrum requires F(-k) = conj(F(k))"
-        )
-    return _from_half(c.grid, coeffs[c.grid.n:] * c.grid.size)
 
 
 # sampled_kernel drops the weights beyond the last one of at least this

@@ -2,7 +2,7 @@
 
 The Lorentzian line with its closed-form Fourier transform, the periodic
 pseudo-Lorentzian built from exponentially decaying coefficients, and
-reproducible white-noise injection.
+reproducible white-noise draws.
 """
 
 from __future__ import annotations
@@ -17,10 +17,8 @@ __all__ = [
     "LorentzianLine",
     "EtaRatio",
     "NoiseModel",
-    "lorentzian_ds",
     "lorentzian_rs",
     "pseudo_lorentzian_discrete",
-    "add_white_noise",
 ]
 
 _U64 = 0xFFFFFFFFFFFFFFFF
@@ -97,13 +95,6 @@ class NoiseModel:
             out *= self.sigma
 
 
-def lorentzian_ds(line: LorentzianLine, x):
-    """Direct-space line: (area*gamma/pi) / ((x-center)^2 + gamma^2)."""
-    x = np.asarray(x, dtype=float)
-    out = (line.area * line.gamma / np.pi) / ((x - line.center) ** 2 + line.gamma**2)
-    return out if out.ndim else float(out)
-
-
 def lorentzian_rs(line: LorentzianLine, k):
     """Transform magnitude (area/2pi)*exp(-|k|*gamma).
 
@@ -142,8 +133,3 @@ def pseudo_lorentzian_discrete(gamma: float, n: int) -> Spectrum:
             f"{dev:.3e}, beyond the truncation bound {bound:.3e}"
         )
     return Spectrum(grid, closed)
-
-
-def add_white_noise(s: Spectrum, noise: NoiseModel) -> Spectrum:
-    """Perturb each sample by an independent Gaussian draw of rms sigma."""
-    return Spectrum(s.grid, s.values + noise.sequence(0, s.grid.size))

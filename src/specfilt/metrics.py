@@ -3,7 +3,7 @@
 Mean-square error between filtered and original lineshapes evaluated as
 2*pi * integral |F|^2 |1-B|^2 dk, with closed forms for the running-average
 and brick-wall cases; white-noise transmission along both the direct- and
-reciprocal-space routes; noise-cutoff location on measured coefficients; and
+reciprocal-space routes; noise-cutoff location on a measured spectrum; and
 the Gibbs residual left by abrupt cutoffs.
 """
 
@@ -15,16 +15,14 @@ from typing import Sequence
 import numpy as np
 
 from ._gauss import QuadratureError, converged, exp_weighted, gauss_legendre
+from .engine import Spectrum
 from .filters import (
     SINC_HALF_CROSSING,
-    BrickWall,
     FilterSpec,
-    RunningAverage,
     _brentq,
     _checked,
     _panel_width,
     breakpoints,
-    ds_cutoff,
     half_transfer_point,
     support_cutoff,
     transfer,
@@ -32,12 +30,10 @@ from .filters import (
 from .lineshapes import EtaRatio, LorentzianLine, lorentzian_rs
 
 __all__ = [
-    "MseBreakdown",
     "NoiseReport",
     "GibbsReport",
     "QuadratureError",
     "mse_numeric",
-    "mse_with_noise",
     "mse_bw_analytic",
     "mse_ra_analytic",
     "mse_ratio_ra_bw",
@@ -47,15 +43,6 @@ __all__ = [
     "gibbs_residual",
     "estimate_period",
 ]
-
-
-@dataclass(frozen=True)
-class MseBreakdown:
-    total: float
-    info_term: float
-    noise_term: float
-    eta: EtaRatio
-    analytic_ref: float | None
 
 
 @dataclass(frozen=True)
@@ -80,25 +67,19 @@ def _k_max_for(line: LorentzianLine, spec: FilterSpec) -> float:
     return max(18.5 / line.gamma, end + 12.5 / line.gamma)
 
 
-def _stop_band_integrals(spec: FilterSpec, rates, ends, scale) -> np.ndarray:
-    """scale_j * integral_0^{end_j} exp(-rate_j k) (1-B)^2 dk; NaN where not converged."""
+def _mse_integrals(lines: Sequence[LorentzianLine], spec: FilterSpec) -> np.ndarray:
+    """2*pi * integral |F_j|^2 (1-B)^2 dk for each line j; NaN where not converged."""
+    # |F|^2 = (area/2pi)^2 exp(-2 gamma k); the tolerance applies to the
+    # integral of |F|^2 (1-B)^2 before the factor 4 pi of the even integrand.
+    ends = [_k_max_for(line, spec) for line in lines]
+    rates = [2.0 * line.gamma for line in lines]
+    scale = np.array([(line.area / (2.0 * np.pi)) ** 2 for line in lines])
     end = support_cutoff(spec)
     values, errors = exp_weighted(lambda k: (1.0 - transfer(spec, k)) ** 2, rates, ends,
                                   breakpoints(spec), _panel_width(spec),
                                   np.inf if end is None else end)
     values, errors = scale * values, scale * errors
-    return np.where(converged(values, errors), values, np.nan)
-
-
-def _mse_integrals(lines: Sequence[LorentzianLine], spec: FilterSpec,
-                   ends=None) -> np.ndarray:
-    # |F|^2 = (area/2pi)^2 exp(-2 gamma k); the tolerance applies to the
-    # integral of |F|^2 (1-B)^2 before the factor 4 pi of the even integrand.
-    if ends is None:
-        ends = [_k_max_for(line, spec) for line in lines]
-    rates = [2.0 * line.gamma for line in lines]
-    scale = np.array([(line.area / (2.0 * np.pi)) ** 2 for line in lines])
-    return 4.0 * np.pi * _stop_band_integrals(spec, rates, ends, scale)
+    return 4.0 * np.pi * np.where(converged(values, errors), values, np.nan)
 
 
 def mse_numeric(line: LorentzianLine | Sequence[LorentzianLine],
@@ -121,41 +102,6 @@ def mse_numeric(line: LorentzianLine | Sequence[LorentzianLine],
     return _mse_integrals(list(line), spec)
 
 
-def mse_with_noise(line: LorentzianLine, spec: FilterSpec, noise_density: float,
-                   k_max: float | None = None) -> MseBreakdown:
-    """Split MSE into information and additive white-noise contributions.
-
-    noise_density is the per-point mean-square fluctuation; it enters the
-    reciprocal-space integral as the flat density noise_density/(2*pi), so
-    the noise term needs a finite cutoff k_max.  The default is 3x the
-    transfer support (first transfer zero for the running average), widened
-    when necessary so the information term is fully converged.  The eta field
-    reports gamma/x_o for specs that imply an x_o, else gamma itself.
-    """
-    if noise_density < 0:
-        raise ValueError(f"noise_density must be >= 0, got {noise_density}")
-    if k_max is None:
-        end = support_cutoff(spec)
-        if end is None:  # the running average: its first transfer zero
-            end = np.pi / ds_cutoff(spec)
-        # wide enough that the information term converges as in mse_numeric
-        k_max = max(3.0 * end, _k_max_for(line, spec))
-    if not np.isfinite(k_max) and noise_density > 0:
-        raise ValueError("a finite k_max is required when noise_density > 0")
-    info = float(_mse_integrals([line], spec, [min(k_max, _k_max_for(line, spec))])[0])
-    noise = 0.0
-    if noise_density > 0:
-        noise = 2.0 * noise_density * float(_stop_band_integrals(spec, [0.0], [k_max], 1.0)[0])
-    if np.isnan(info) or np.isnan(noise):
-        raise QuadratureError(f"stop-band quadrature up to k_max={k_max:g} did not converge")
-    closed_form = _MSE_CLOSED_FORMS.get(type(spec))
-    x_o = ds_cutoff(spec) if closed_form else None
-    eta = EtaRatio.from_line(line, x_o) if x_o else EtaRatio(line.gamma)
-    ref = closed_form(eta, x_o) * line.area**2 if closed_form else None
-    return MseBreakdown(total=info + noise, info_term=info, noise_term=noise,
-                        eta=eta, analytic_ref=ref)
-
-
 def mse_bw_analytic(eta, x_o: float = 1.0) -> float:
     """Closed-form brick-wall MSE exp(-2*z*eta)/(2*pi*eta*x_o), z the sinc root."""
     e = float(eta)
@@ -168,11 +114,6 @@ def mse_ra_analytic(eta, x_o: float = 1.0) -> float:
     bracket = (0.5 / e - 2.0 * np.arctan(0.5 / e)
                - 0.5 * e * np.log1p(1.0 / e**2) + np.arctan(1.0 / e))
     return bracket / (np.pi * x_o)
-
-
-# Families with a closed-form MSE for a unit-area line, as a function of
-# (eta, x_o) with x_o the family's ds cutoff.
-_MSE_CLOSED_FORMS = {RunningAverage: mse_ra_analytic, BrickWall: mse_bw_analytic}
 
 
 def mse_ratio_ra_bw(eta) -> float:
@@ -222,11 +163,24 @@ def noise_gain(spec: FilterSpec) -> NoiseReport:
                        rs_value=float(rs))
 
 
-def noise_cutoff(coeffs, noise_floor: float | None = None) -> float | None:
+def _moving_average(values: np.ndarray, win: int) -> np.ndarray:
+    """Mean of each odd, centred window of win values, zero-padded at both ends.
+
+    Each window sum is a difference of one running sum, accumulated from the
+    end of the array down: a power spectrum is smallest there, so the small
+    high-k windows are not differences of the large low-k sums.
+    """
+    pad = np.zeros(win // 2)
+    tail = np.cumsum(np.concatenate((pad, values, pad, [0.0]))[::-1])[::-1]
+    return (tail[:values.size] - tail[win:win + values.size]) / win
+
+
+def noise_cutoff(spectrum: Spectrum, noise_floor: float | None = None) -> float | None:
     """Locate where the smoothed signal power |F_k|^2 falls to the noise level.
 
-    Works on the positive-frequency half.  The flat white-noise background is
-    estimated as median(top quarter)/ln2 (median-to-mean conversion for the
+    Works on the positive-frequency half k = 0..N of the spectrum's
+    coefficients.  The flat white-noise background is estimated as
+    median(top quarter)/ln2 (median-to-mean conversion for the
     exponentially distributed power of complex Gaussian noise) and subtracted;
     the cutoff is the interpolated end of the contiguous low-frequency band
     where the remaining signal exceeds noise_floor (default: the estimated
@@ -235,8 +189,7 @@ def noise_cutoff(coeffs, noise_floor: float | None = None) -> float | None:
     signal band rises above the floor (noise-dominated), or when the signal
     never falls to the floor in range.
     """
-    c = np.asarray(getattr(coeffs, "coeffs", coeffs))
-    half = np.abs(c[c.size // 2:]) ** 2
+    half = np.abs(spectrum._half / spectrum.grid.size) ** 2
     npts = half.size
     if npts < 64:
         raise ValueError(f"need at least 64 positive-frequency points, got {npts}")
@@ -244,7 +197,7 @@ def noise_cutoff(coeffs, noise_floor: float | None = None) -> float | None:
         raise ValueError(f"noise_floor must be positive, got {noise_floor}")
     win = max(9, npts // 100)
     win += 1 - win % 2
-    smoothed = np.convolve(half, np.ones(win) / win, mode="same")
+    smoothed = _moving_average(half, win)
     # background estimate: flat only if the top quarters match and sit well
     # above transform roundoff (else the spectrum is noiseless in range)
     med_top = float(np.median(half[3 * npts // 4:]))

@@ -456,7 +456,18 @@ class TestApplyCommand:
         assert x.shape == (401, 2)
         report = (tmp_path / "f.dat.report.txt").read_text()
         assert "rms_noise_gain_grid=" in report
+        assert "noise_cutoff: no cutoff found\n" in report  # noiseless
         assert "gibbs_period_x=" in report
+
+    def test_short_file_reports_cutoff_not_searched(self, tmp_path, capsys):
+        x = -5.0 + 0.1 * np.arange(101)
+        path = tmp_path / "short.dat"
+        write_spectrum(str(path), x, (0.4 / np.pi) / (0.4**2 + x**2))
+        out = tmp_path / "f.dat"
+        assert main(["apply", "--in", str(path), "--family", "bw", "--out", str(out),
+                     "--no-timestamp"]) == EXIT_OK
+        report = (tmp_path / "f.dat.report.txt").read_text()
+        assert "noise_cutoff: not searched: 101 points, fewer than the 129 it needs\n" in report
 
     def test_ds_close_to_rs(self, spectrum_file, tmp_path, capsys):
         a = tmp_path / "rs.dat"

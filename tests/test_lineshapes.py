@@ -9,24 +9,12 @@ from specfilt.lineshapes import (
     EtaRatio,
     LorentzianLine,
     NoiseModel,
-    add_white_noise,
-    lorentzian_ds,
     lorentzian_rs,
     pseudo_lorentzian_discrete,
 )
 
 
 class TestLorentzian:
-    def test_peak_height(self):
-        line = LorentzianLine(0.5, area=2.0)
-        assert float(lorentzian_ds(line, 0.0)) == pytest.approx(
-            2.0 / (np.pi * 0.5), rel=1e-14)
-
-    def test_half_height_at_gamma(self):
-        line = LorentzianLine(0.8)
-        peak = float(lorentzian_ds(line, 0.0))
-        assert float(lorentzian_ds(line, 0.8)) == pytest.approx(peak / 2, rel=1e-14)
-
     def test_rs_magnitude(self):
         line = LorentzianLine(0.7, area=2.0)
         assert float(lorentzian_rs(line, 0.0)) == pytest.approx(1.0 / np.pi, rel=1e-14)
@@ -40,9 +28,9 @@ class TestLorentzian:
         np.testing.assert_allclose(vals[1:] / vals[:-1], np.exp(-0.4), rtol=1e-12)
 
     def test_center_and_validation(self):
-        line = LorentzianLine(0.5, center=2.0)
-        assert float(lorentzian_ds(line, 2.0)) == pytest.approx(
-            1.0 / (np.pi * 0.5), rel=1e-14)
+        k = np.array([0.0, 1.5, 4.0])
+        np.testing.assert_array_equal(lorentzian_rs(LorentzianLine(0.5, center=2.0), k),
+                                      lorentzian_rs(LorentzianLine(0.5), k))
         with pytest.raises(ValueError):
             LorentzianLine(0.0)
 
@@ -138,10 +126,3 @@ class TestNoiseModel:
     def test_negative_sigma_rejected(self):
         with pytest.raises(ValueError):
             NoiseModel(-1.0, seed=0)
-
-    def test_add_white_noise(self):
-        s = pseudo_lorentzian_discrete(0.5, 32)
-        noise = NoiseModel(0.01, seed=9)
-        noisy = add_white_noise(s, noise)
-        np.testing.assert_allclose(noisy.values - s.values,
-                                   noise.sequence(0, s.grid.size), rtol=1e-12)

@@ -16,7 +16,7 @@ from scipy.special import gammaincc
 
 from specfilt import filters, metrics
 from specfilt._gauss import exp_weighted
-from specfilt.engine import dft_forward
+from specfilt.engine import SampleGrid, Spectrum
 from specfilt.filters import (
     BrickWall,
     CosineTerminated,
@@ -31,7 +31,6 @@ from specfilt.lineshapes import (
     EtaRatio,
     LorentzianLine,
     NoiseModel,
-    add_white_noise,
     lorentzian_rs,
     pseudo_lorentzian_discrete,
 )
@@ -44,7 +43,6 @@ from specfilt.metrics import (
     mse_numeric,
     mse_ra_analytic,
     mse_ratio_ra_bw,
-    mse_with_noise,
     noise_cutoff,
     noise_gain,
 )
@@ -189,39 +187,6 @@ class TestMseQuadratureCore:
         got = mse_numeric([LorentzianLine(1.0), LorentzianLine(5.0)], gh)
         assert np.isnan(got[0])
         assert got[1] == mse_numeric(LorentzianLine(5.0), gh)
-
-
-class TestMseWithNoise:
-    def test_zero_noise_reduces_to_plain_mse(self):
-        line = LorentzianLine(1.0)
-        spec = calibrate("bw", 1.0).spec
-        br = mse_with_noise(line, spec, 0.0)
-        assert br.noise_term == 0.0
-        assert br.total == br.info_term
-        assert br.total == pytest.approx(mse_numeric(line, spec), rel=1e-9)
-
-    def test_bw_noise_term_closed_form(self):
-        """For a step transfer the noise term is 2 rho (k_max - k_o)."""
-        spec = calibrate("bw", 1.0).spec
-        br = mse_with_noise(LorentzianLine(1.0), spec, 0.01, k_max=30.0)
-        assert br.noise_term == pytest.approx(2 * 0.01 * (30.0 - spec.k_o), rel=1e-10)
-        assert br.total == pytest.approx(br.info_term + br.noise_term, rel=1e-12)
-
-    def test_monotone_in_density(self):
-        line = LorentzianLine(2.0)
-        spec = calibrate("ct", 1.0, a=5.0, dk=0.5).spec
-        totals = [mse_with_noise(line, spec, rho, k_max=40.0).total
-                  for rho in (0.0, 1e-4, 1e-3, 1e-2)]
-        assert all(a < b for a, b in zip(totals, totals[1:]))
-
-    def test_analytic_reference(self):
-        br = mse_with_noise(LorentzianLine(0.8), calibrate("bw", 1.0).spec, 0.0)
-        assert br.analytic_ref == pytest.approx(mse_bw_analytic(0.8), rel=1e-12)
-        assert float(br.eta) == pytest.approx(0.8)
-
-    def test_rejects_negative_density(self):
-        with pytest.raises(ValueError):
-            mse_with_noise(LorentzianLine(1.0), BrickWall(1.0), -1e-3)
 
 
 class TestNoiseGain:
@@ -415,9 +380,9 @@ class TestNoiseCutoff:
     gamma = 0.1
     n = 3000
 
-    def _noisy_coeffs(self, sigma, seed):
+    def _noisy_spectrum(self, sigma, seed):
         s = pseudo_lorentzian_discrete(self.gamma, self.n)
-        return dft_forward(add_white_noise(s, NoiseModel(sigma, seed)))
+        return Spectrum(s.grid, s.values + NoiseModel(sigma, seed).sequence(0, s.grid.size))
 
     def test_tracks_crossing_point(self):
         """Estimates stay within 15% of the analytic signal/noise crossing."""
@@ -425,32 +390,46 @@ class TestNoiseCutoff:
         sigma = np.exp(-6.0) / np.sqrt(m)
         theory = np.log(1.0 / (sigma * np.sqrt(m))) / self.gamma
         for seed in (1, 2, 3):
-            est = noise_cutoff(self._noisy_coeffs(sigma, seed))
+            est = noise_cutoff(self._noisy_spectrum(sigma, seed))
             assert est == pytest.approx(theory, rel=0.15)
 
     def test_floor_doubling_shift(self):
         """Doubling the supplied power floor moves the cutoff by ln2/(2 gamma)."""
         m = 2 * self.n + 1
         sigma = np.exp(-6.0) / np.sqrt(m)
-        c = self._noisy_coeffs(sigma, 1)
-        base = noise_cutoff(c, noise_floor=sigma**2 / m)
-        doubled = noise_cutoff(c, noise_floor=2 * sigma**2 / m)
+        s = self._noisy_spectrum(sigma, 1)
+        base = noise_cutoff(s, noise_floor=sigma**2 / m)
+        doubled = noise_cutoff(s, noise_floor=2 * sigma**2 / m)
         assert base - doubled == pytest.approx(np.log(2) / (2 * self.gamma), rel=0.2)
 
     def test_noiseless_returns_none(self):
         s = pseudo_lorentzian_discrete(self.gamma, self.n)
-        assert noise_cutoff(dft_forward(s)) is None
+        assert noise_cutoff(s) is None
 
     def test_noise_dominated_returns_none(self):
         s = pseudo_lorentzian_discrete(5.0, self.n)
-        c = dft_forward(add_white_noise(s, NoiseModel(0.01, 4)))
-        assert noise_cutoff(c) is None
+        noisy = Spectrum(s.grid, s.values + NoiseModel(0.01, 4).sequence(0, s.grid.size))
+        assert noise_cutoff(noisy) is None
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            noise_cutoff(np.ones(40, dtype=complex))
+            noise_cutoff(Spectrum(SampleGrid(62), np.ones(125)))  # 63 points k = 0..N
         with pytest.raises(ValueError):
-            noise_cutoff(np.ones(201, dtype=complex), noise_floor=-1.0)
+            noise_cutoff(Spectrum(SampleGrid(100), np.ones(201)), noise_floor=-1.0)
+
+    def test_running_sum_matches_convolution_on_a_long_file(self, monkeypatch):
+        """At n = 70 000 (a window of 701 points) the running-sum smoothing
+        gives the estimate that np.convolve smoothing gives."""
+        n = 70_000
+        m = 2 * n + 1
+        s = pseudo_lorentzian_discrete(0.02, n)
+        noise = NoiseModel(np.exp(-6.0) / np.sqrt(m), 5)
+        noisy = Spectrum(s.grid, s.values + noise.sequence(0, s.grid.size))
+        est = noise_cutoff(noisy)
+        assert est is not None
+        monkeypatch.setattr(metrics, "_moving_average",
+                            lambda v, win: np.convolve(v, np.ones(win) / win, mode="same"))
+        assert est == pytest.approx(noise_cutoff(noisy), rel=1e-12, abs=0.0)
 
 
 class TestEstimatePeriod:
