@@ -8,13 +8,11 @@ lineshapes and periodic sampled spectra.
 """
 
 from .engine import (
-    RsCoefficients,
     SampleGrid,
     Spectrum,
     TransmissionResult,
     apply_filter_ds,
     apply_filter_rs,
-    dft_forward,
     noise_transmission_empirical,
     read_spectrum,
     reconstruct_with_report,

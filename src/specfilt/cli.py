@@ -46,6 +46,7 @@ from .filters import (
 )
 from .lineshapes import LorentzianLine, NoiseModel
 from .metrics import (
+    _CUTOFF_MIN_POINTS,
     QuadratureError,
     gibbs_residual,
     mse_bw_analytic,
@@ -190,6 +191,8 @@ _RANGES = {
     "m": (lambda v: v >= 1, "must be an integer >= 1"),
     "a": (lambda v: v >= 0.5, "must be >= 1/2"),
     "dk": (lambda v: v > 0, "must be positive"),
+    "trials": (lambda v: v == 0 or v >= 100, "must be 0 (analytic only) or >= 100"),
+    "grid_n": (lambda v: v >= 1, "must be an integer >= 1"),
 }
 
 
@@ -197,7 +200,7 @@ def _check_ranges(cfg: RunConfig, **values) -> None:
     """Check each given value against its range, in the order given; None is absent."""
     for name, value in values.items():
         valid, rule = _RANGES[name]
-        cfg.check(value is None or valid(value), f"--{name} {rule}, got {value}")
+        cfg.check(value is None or valid(value), f"--{name.replace('_', '-')} {rule}, got {value}")
 
 
 def _family_params(cfg: RunConfig, family: str) -> dict:
@@ -311,15 +314,68 @@ def _eta_grid(cfg: RunConfig) -> np.ndarray:
     return np.linspace(lo, hi, int(n))
 
 
-# sweep kind -> the --m, --a and --dk it reads; gh takes its orders from
-# --m-list and ct its spreads from --dk-list
-_SWEEP_PARAMS = {"ra-bw": (), "gh": (), "ct": ("a",), "compare": ("m", "a", "dk")}
+def _gh_ct(cfg: RunConfig, x0: float, **more) -> tuple[FilterSpec, FilterSpec]:
+    """gh of order --m (default 100) and ct of --a and --dk (default its shape), calibrated at x0.
+
+    The three values are range-checked, then each value in more (a name of
+    _RANGES), before any problem is reported.
+    """
+    m = cfg.get("m", 100)
+    shape = {name: cfg.get(name, value) for name, value in _ct_defaults(x0).items()}
+    _check_ranges(cfg, m=m, **shape, **more)
+    cfg.finish()
+    return calibrate("gh", x0, m=m).spec, calibrate("ct", x0, **shape).spec
+
+
+# A sweep builder checks its kind's own flags, calibrates, and returns the
+# kind's entries (header, column, source).  source is a calibrated spec, whose
+# MSE comes by quadrature, or a closed form mse(eta, x0).  header names the
+# entry's spec_ line and column its ratio_ column, the MSE over BW's; either
+# may be None.
+
+
+def _sweep_ra_bw(cfg: RunConfig, x0: float) -> list:
+    return [("ra", None, calibrate("ra", x0).spec), ("bw", None, calibrate("bw", x0).spec),
+            (None, "closed", mse_ra_analytic)]
+
+
+def _sweep_gh(cfg: RunConfig, x0: float) -> list:
+    ms = _parse_list(cfg.get("m_list", "1,2,5,10,20,50,100"), int, "--m-list", cfg)
+    cfg.finish()
+    return [(f"gh_m{m}", f"m{m}", calibrate("gh", x0, m=m).spec) for m in ms]
+
+
+def _sweep_ct(cfg: RunConfig, x0: float) -> list:
+    a = cfg.get("a", _ct_defaults(x0)["a"])
+    dk_list = cfg.get("dk_list")
+    dks = ([s / x0 for s in (0.2, 0.5, 1.0)] if dk_list is None
+           else _parse_list(dk_list, float, "--dk-list", cfg))
+    _check_ranges(cfg, a=a)
+    cfg.finish()
+    return [(f"ct_dk{dk}", f"dk{dk}", calibrate("ct", x0, a=a, dk=dk).spec) for dk in dks]
+
+
+def _sweep_compare(cfg: RunConfig, x0: float) -> list:
+    gh, ct = _gh_ct(cfg, x0)
+    return [(None, "ra", mse_ra_analytic), ("gh", f"gh_m{gh.m}", gh), ("ct", "ct", ct)]
+
+
+# sweep kind -> (the --m, --a and --dk it reads, its builder); the first is the
+# default.  gh takes its orders from --m-list and ct its spreads from --dk-list.
+_SWEEPS = {
+    "ra-bw": ((), _sweep_ra_bw),
+    "gh": ((), _sweep_gh),
+    "ct": (("a",), _sweep_ct),
+    "compare": (("m", "a", "dk"), _sweep_compare),
+}
 
 
 def cmd_sweep(cfg: RunConfig, command: str) -> int:
-    kind = cfg.get("kind", "ra-bw")
-    cfg.check(kind in _SWEEP_PARAMS, f"--kind must be ra-bw, gh, ct, or compare, got {kind!r}")
-    read = _SWEEP_PARAMS.get(kind, ("m", "a", "dk"))  # an unknown kind is reported above
+    kinds = list(_SWEEPS)
+    kind = cfg.get("kind", kinds[0])
+    cfg.check(kind in _SWEEPS,
+              f"--kind must be {', '.join(kinds[:-1])}, or {kinds[-1]}, got {kind!r}")
+    read, build = _SWEEPS.get(kind, (("m", "a", "dk"), None))  # an unknown kind is reported above
     for name in ("m", "a", "dk"):
         value = cfg.get(name)
         cfg.check(value is None or name in read,
@@ -328,86 +384,40 @@ def cmd_sweep(cfg: RunConfig, command: str) -> int:
     _check_ranges(cfg, x0=x0)
     etas = _eta_grid(cfg)
     cfg.finish()
+    entries = build(cfg, x0)
 
-    meta: list[str] = [f"x_o={x0!r}"]
-    columns: list[str] = ["eta"]
     lines = [LorentzianLine(e * x0) for e in etas]
     refs = np.array([mse_bw_analytic(e, x0) for e in etas])
-    failures = 0
-
-    def ratios(num, den=refs) -> list[float]:
-        """num / den by eta; each cell that is not finite is NaN and counted."""
-        nonlocal failures
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.asarray(num) / den
-        bad = ~np.isfinite(ratio)
-        failures += int(np.count_nonzero(bad))
-        return np.where(bad, np.nan, ratio).tolist()
-
-    if kind == "ra-bw":
-        ra = calibrate("ra", x0).spec
-        bw = calibrate("bw", x0).spec
-        meta += [f"spec_ra: {_spec_line(ra)}", f"spec_bw: {_spec_line(bw)}"]
-        columns += ["mse_ra", "mse_bw", "ratio_closed", "ratio_published"]
-        mra = [mse_ra_analytic(e, x0) for e in etas]
-        with np.errstate(over="ignore", invalid="ignore"):  # exp overflows past eta ~ 187
-            published = [mse_ratio_ra_bw(e) for e in etas]
-        rows = [list(r) for r in zip(etas, mra, refs, ratios(mra), ratios(published, 1.0))]
-    elif kind == "gh":
-        ms = _parse_list(cfg.get("m_list", "1,2,5,10,20,50,100"), int, "--m-list", cfg)
-        cfg.finish()
-        specs = {m: calibrate("gh", x0, m=m).spec for m in ms}
-        meta += [f"spec_gh_m{m}: {_spec_line(s)}" for m, s in specs.items()]
-        columns += [f"ratio_m{m}" for m in ms]
-        rows = [list(r) for r in zip(etas, *(ratios(mse_numeric(lines, s)) for s in specs.values()))]
-    elif kind == "ct":
-        a = cfg.get("a", _ct_defaults(x0)["a"])
-        dk_list = cfg.get("dk_list")
-        dks = ([s / x0 for s in (0.2, 0.5, 1.0)] if dk_list is None
-               else _parse_list(dk_list, float, "--dk-list", cfg))
-        _check_ranges(cfg, a=a)
-        cfg.finish()
-        specs = {dk: calibrate("ct", x0, a=a, dk=dk).spec for dk in dks}
-        meta += [f"spec_ct_dk{dk}: {_spec_line(s)}" for dk, s in specs.items()]
-        columns += [f"ratio_dk{dk}" for dk in dks]
-        rows = [list(r) for r in zip(etas, *(ratios(mse_numeric(lines, s)) for s in specs.values()))]
-    else:  # compare
-        m = cfg.get("m", 100)
-        shape = {name: cfg.get(name, value) for name, value in _ct_defaults(x0).items()}
-        _check_ranges(cfg, m=m, **shape)
-        cfg.finish()
-        gh = calibrate("gh", x0, m=m).spec
-        ct = calibrate("ct", x0, **shape).spec
-        meta += [f"spec_gh: {_spec_line(gh)}", f"spec_ct: {_spec_line(ct)}"]
-        columns += ["ratio_ra", f"ratio_gh_m{m}", "ratio_ct"]
-        ra = ratios([mse_ra_analytic(e, x0) for e in etas])
-        rows = [list(r) for r in zip(etas, ra, *(ratios(mse_numeric(lines, s)) for s in (gh, ct)))]
-    writer = TableWriter(cfg, command, meta)
-    writer.write(columns, rows)
-    if failures:
-        print(f"warning: {failures} sweep point(s) failed and were marked NaN",
+    mses = [[source(e, x0) for e in etas] if callable(source) else mse_numeric(lines, source)
+            for _, column, source in entries if column]
+    columns = ["eta"] + [f"ratio_{column}" for _, column, _ in entries if column]
+    absolute = []
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ratios = np.reshape(mses, (-1, etas.size)) / refs
+        if build is _sweep_ra_bw:  # the absolute MSEs first, the published ratio last
+            columns = ["eta", "mse_ra", "mse_bw", *columns[1:], "ratio_published"]
+            absolute = [mses[0], refs]
+            # the published ratio's exp(3.79 eta) overflows past eta ~ 187
+            ratios = np.vstack([ratios, [mse_ratio_ra_bw(e) for e in etas]])
+    failed = ~np.isfinite(ratios)  # a ratio that is not finite is NaN and counted
+    ratios[failed] = np.nan
+    meta = [f"x_o={x0!r}"] + [f"spec_{name}: {_spec_line(s)}" for name, _, s in entries if name]
+    TableWriter(cfg, command, meta).write(columns, zip(etas, *absolute, *ratios))
+    if failed.any():
+        print(f"warning: {np.count_nonzero(failed)} sweep point(s) failed and were marked NaN",
               file=sys.stderr)
     return EXIT_OK
 
 
 def cmd_noise(cfg: RunConfig, command: str) -> int:
     x0 = cfg.get("x0", 1.0)
-    m = cfg.get("m", 100)
-    shape = {name: cfg.get(name, value) for name, value in _ct_defaults(x0).items()}
     trials = cfg.get("trials", 0)
     grid_n = cfg.get("grid_n", 256)
-    _check_ranges(cfg, x0=x0, m=m, **shape)
-    cfg.check(trials == 0 or trials >= 100,
-              f"--trials must be 0 (analytic only) or >= 100, got {trials}")
-    if trials > 0:
-        cfg.check(grid_n >= 1, f"--grid-n must be an integer >= 1, got {grid_n}")
-    cfg.finish()
-    named = [
-        ("ra", calibrate("ra", x0).spec),
-        ("bw", calibrate("bw", x0).spec),
-        (f"gh_m{m}", calibrate("gh", x0, m=m).spec),
-        (f"ct_a{shape['a']}_dk{shape['dk']}", calibrate("ct", x0, **shape).spec),
-    ]
+    _check_ranges(cfg, x0=x0)
+    # the grid is read by the Monte Carlo alone
+    gh, ct = _gh_ct(cfg, x0, trials=trials, grid_n=grid_n if trials > 0 else None)
+    named = [("ra", calibrate("ra", x0).spec), ("bw", calibrate("bw", x0).spec),
+             (f"gh_m{gh.m}", gh), (f"ct_a{ct.a}_dk{ct.dk}", ct)]
     meta = [f"x_o={x0!r}"] + [f"spec_{n}: {_spec_line(s)}" for n, s in named]
     columns = ["filter", "rms_gain", "ds_value", "rs_value"]
     rows = []
@@ -424,11 +434,6 @@ def cmd_noise(cfg: RunConfig, command: str) -> int:
             row += [mc.measured, mc.predicted, mc.std_error]
     TableWriter(cfg, command, meta).write(columns, rows)
     return EXIT_OK
-
-
-# apply searches for a noise cutoff only on files of at least this many points,
-# 64 positive frequencies beside k = 0
-_CUTOFF_MIN_POINTS = 129
 
 
 def cmd_apply(cfg: RunConfig, command: str) -> int:
@@ -552,7 +557,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
 
     p = sub.add_parser("sweep", parents=[params, table], help="eta sweeps of MSE ratios")
     p.add_argument("--eta", type=float, help="single gamma/x_o ratio")
-    p.add_argument("--kind", choices=("ra-bw", "gh", "ct", "compare"))
+    p.add_argument("--kind", choices=tuple(_SWEEPS))
     p.add_argument("--eta-min", type=float)
     p.add_argument("--eta-max", type=float)
     p.add_argument("--eta-points", type=int)

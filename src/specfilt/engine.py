@@ -1,14 +1,14 @@
 """Periodic discrete-grid machinery.
 
-Grids carry 2N+1 points theta_j = 2*pi*j/(2N+1), j in [-N, N].  The forward
-transform carries the 1/(2N+1) normalization, the inverse carries none, so
-Parseval reads sum|f_j|^2 = (2N+1) * sum|F_k|^2.  A spectrum is real, so its
-coefficients for k < 0 are the conjugates of those for k > 0: each Spectrum
-takes one real FFT of its samples, the k = 0..N half, on first use and keeps
-it.  Filters apply either by reciprocal-space multiplication or by
-direct-space circular convolution with a sampled, truncated, renormalized
-kernel, both as a product with that half and one inverse real FFT; the two
-paths agree up to the kernel truncation.
+Grids carry 2N+1 points theta_j = 2*pi*j/(2N+1), j in [-N, N].  The
+coefficients F_k = (1/(2N+1)) sum_j f_j exp(-i k theta_j) carry the
+normalization, so Parseval reads sum|f_j|^2 = (2N+1) * sum|F_k|^2.  A
+spectrum is real, so its coefficients for k < 0 are the conjugates of those
+for k > 0: each Spectrum takes one real FFT of its samples, the k = 0..N
+half, (2N+1) F_k, on first use and keeps it.  Filters apply either by
+reciprocal-space multiplication or by direct-space circular convolution with
+a sampled, truncated, renormalized kernel, both as a product with that half
+and one inverse real FFT; the two paths agree up to the kernel truncation.
 """
 
 from __future__ import annotations
@@ -31,8 +31,6 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "SampleGrid",
     "Spectrum",
-    "RsCoefficients",
-    "dft_forward",
     "sampled_kernel",
     "apply_filter_rs",
     "apply_filter_ds",
@@ -92,26 +90,6 @@ class Spectrum:
 def _from_half(grid: SampleGrid, half: np.ndarray) -> Spectrum:
     """The spectrum whose Spectrum._half is `half`, by one inverse real FFT."""
     return Spectrum(grid, np.fft.fftshift(np.fft.irfft(half, n=grid.size)))
-
-
-@dataclass(frozen=True)
-class RsCoefficients:
-    grid: SampleGrid
-    coeffs: np.ndarray
-
-    def __post_init__(self) -> None:
-        c = np.asarray(self.coeffs, dtype=complex)
-        if c.shape != (self.grid.size,):
-            raise ValueError(
-                f"expected {self.grid.size} coefficients, got shape {c.shape}"
-            )
-        object.__setattr__(self, "coeffs", c)
-
-
-def dft_forward(s: Spectrum) -> RsCoefficients:
-    """F_k = (1/(2N+1)) * sum_j f_j exp(-i k theta_j), k in [-N, N]."""
-    half = s._half / s.grid.size
-    return RsCoefficients(s.grid, np.concatenate((np.conj(half[:0:-1]), half)))
 
 
 # sampled_kernel drops the weights beyond the last one of at least this

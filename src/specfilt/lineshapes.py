@@ -110,26 +110,15 @@ def lorentzian_rs(line: LorentzianLine, k):
 def pseudo_lorentzian_discrete(gamma: float, n: int) -> Spectrum:
     """Periodic line whose coefficients are exp(-|kappa|*gamma)/(2N+1).
 
-    Production path is the closed form of the summed geometric series; it is
-    cross-checked on every call against the finite geometric sum, which must
-    agree within the tail-truncation bound exp(-(N+1)*gamma).
+    Evaluated as the closed form of the geometric series summed over every
+    integer kappa, (1 - r^2) / ((1 - r)^2 + 4r sin^2(theta/2)) / (2N+1) with
+    r = exp(-gamma).  It differs from the finite sum over |kappa| <= N by
+    the folded-in tail, at most 2 r^(N+1) / ((1 - r)(2N+1)).
     """
     if not gamma > 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
     grid = SampleGrid(n)
-    theta = grid.theta
-    m = grid.size
     r = np.exp(-gamma)
     # denominator written as (1-r)^2 + 4r sin^2(theta/2): no cancellation
-    denom = np.expm1(-gamma) ** 2 + 4.0 * r * np.sin(0.5 * theta) ** 2
-    closed = (1.0 - r * r) / denom / m
-    w = r * np.exp(1j * theta)
-    finite = (-1.0 + 2.0 * np.real((1.0 - w ** (n + 1)) / (1.0 - w))) / m
-    bound = 10.0 * np.exp(-(n + 1) * gamma) + 100.0 * np.finfo(float).eps * closed.max()
-    dev = float(np.max(np.abs(closed - finite)))
-    if dev > bound:
-        raise RuntimeError(
-            f"pseudo-lorentzian closed form deviates from the finite sum by "
-            f"{dev:.3e}, beyond the truncation bound {bound:.3e}"
-        )
-    return Spectrum(grid, closed)
+    denom = np.expm1(-gamma) ** 2 + 4.0 * r * np.sin(0.5 * grid.theta) ** 2
+    return Spectrum(grid, (1.0 - r * r) / denom / grid.size)

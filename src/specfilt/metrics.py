@@ -175,11 +175,16 @@ def _moving_average(values: np.ndarray, win: int) -> np.ndarray:
     return (tail[:values.size] - tail[win:win + values.size]) / win
 
 
+# noise_cutoff searches spectra of at least this many points, 64 positive
+# frequencies beside k = 0
+_CUTOFF_MIN_POINTS = 129
+
+
 def noise_cutoff(spectrum: Spectrum, noise_floor: float | None = None) -> float | None:
     """Locate where the smoothed signal power |F_k|^2 falls to the noise level.
 
     Works on the positive-frequency half k = 0..N of the spectrum's
-    coefficients.  The flat white-noise background is estimated as
+    coefficients, N >= 64.  The flat white-noise background is estimated as
     median(top quarter)/ln2 (median-to-mean conversion for the
     exponentially distributed power of complex Gaussian noise) and subtracted;
     the cutoff is the interpolated end of the contiguous low-frequency band
@@ -189,10 +194,10 @@ def noise_cutoff(spectrum: Spectrum, noise_floor: float | None = None) -> float 
     signal band rises above the floor (noise-dominated), or when the signal
     never falls to the floor in range.
     """
+    if spectrum.grid.size < _CUTOFF_MIN_POINTS:
+        raise ValueError(f"need at least {_CUTOFF_MIN_POINTS} points, got {spectrum.grid.size}")
     half = np.abs(spectrum._half / spectrum.grid.size) ** 2
     npts = half.size
-    if npts < 64:
-        raise ValueError(f"need at least 64 positive-frequency points, got {npts}")
     if noise_floor is not None and not noise_floor > 0:
         raise ValueError(f"noise_floor must be positive, got {noise_floor}")
     win = max(9, npts // 100)

@@ -52,6 +52,11 @@ def _cli_commands() -> list[tuple[str, list[str]]]:
         ("sweep_ct", [*sweep, "--kind", "ct", "--x0", "1.3", "--a", "2"]),
         ("sweep_compare", [*sweep, "--kind", "compare", "--m", "50", "--format", "tsv",
                            "--out", "sweep_compare.tsv"]),
+        # rejections: an unknown kind from the config file, a flag the kind
+        # does not read, and noise's messages in their order
+        ("sweep_bogus_kind", ["sweep", "--config", "bogus_kind.cfg"]),
+        ("sweep_ct_dk", ["sweep", "--kind", "ct", "--dk", "0.3"]),
+        ("noise_bad_ranges", ["noise", "--m", "0", "--a", "0.2", "--trials", "5"]),
         ("noise", ["noise"]),
         ("noise_x18", ["noise", "--x0", "18.791550682890122", "--m", "20"]),
         ("noise_mc", ["noise", "--trials", "300", "--grid-n", "64", "--seed", "3"]),
@@ -118,6 +123,7 @@ def main(argv: list[str]) -> int:
     print(f"specfilt from {pathlib.Path(sys.modules['specfilt'].__file__).parent}",
           file=sys.stderr)
     _write_spectrum_file("line.dat")
+    pathlib.Path("bogus_kind.cfg").write_text("kind = bogus\n")
     for name, args in _cli_commands():
         _record(name, lambda args=args: cli(args))
     for stem in ("run_mse_sweeps", "run_noise_table", "run_gibbs_report"):

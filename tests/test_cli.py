@@ -254,12 +254,32 @@ class TestSweepCommand:
         assert float(row["ratio_published"]) == pytest.approx(0.8913943388829295,
                                                               rel=1e-12)
 
-    def test_gh_columns(self, capsys):
+    def test_gh_frozen_point(self, capsys):
         main(["sweep", "--kind", "gh", "--m-list", "5,50", "--eta", "2.0",
               "--no-timestamp"])
-        header, body = _rows(capsys.readouterr().out)
-        assert header == ["eta", "ratio_m5", "ratio_m50"]
+        _, body = _rows(capsys.readouterr().out)
         assert float(body[0][2]) == pytest.approx(0.8501938515360006, rel=1e-6)
+
+    @pytest.mark.parametrize("kind, argv, columns, spec_keys", [
+        ("ra-bw", [], ["mse_ra", "mse_bw", "ratio_closed", "ratio_published"],
+         ["spec_ra", "spec_bw"]),
+        ("gh", ["--m-list", "5,50"], ["ratio_m5", "ratio_m50"], ["spec_gh_m5", "spec_gh_m50"]),
+        # a repeated entry is a repeated column, with its cells
+        ("gh", ["--m-list", "5,5"], ["ratio_m5", "ratio_m5"], ["spec_gh_m5", "spec_gh_m5"]),
+        ("ct", ["--dk-list", "0.2,0.5"], ["ratio_dk0.2", "ratio_dk0.5"],
+         ["spec_ct_dk0.2", "spec_ct_dk0.5"]),
+        ("compare", ["--m", "20"], ["ratio_ra", "ratio_gh_m20", "ratio_ct"],
+         ["spec_gh", "spec_ct"]),
+    ])
+    def test_output_shape(self, kind, argv, columns, spec_keys, capsys):
+        """Each kind's column row and its spec_ header lines, in order."""
+        assert main(["sweep", "--kind", kind, "--eta", "1", *argv, "--no-timestamp"]) == EXIT_OK
+        out = capsys.readouterr().out
+        header, body = _rows(out)
+        assert header == ["eta", *columns]
+        assert len(body) == 1 and len(body[0]) == len(header)
+        assert [ln[2:].split(":")[0] for ln in out.splitlines()
+                if ln.startswith("# spec_")] == spec_keys
 
     def test_eta_grid_size(self, capsys):
         main(["sweep", "--kind", "ra-bw", "--eta-min", "0.2", "--eta-max", "1.0",
@@ -436,6 +456,10 @@ class TestNoiseCommand:
         assert "--trials" in err and "--grid-n" in err
         assert main(["noise", "--trials", "100", "--grid-n", "0"]) == EXIT_VALIDATION
         assert "--grid-n must be an integer >= 1" in capsys.readouterr().err
+        # the filter's parameters first, then the Monte Carlo's
+        assert main(["noise", "--m", "0", "--a", "0.2", "--trials", "5"]) == EXIT_VALIDATION
+        problems = capsys.readouterr().err.splitlines()[1:]
+        assert [p.split()[1] for p in problems] == ["--m", "--a", "--trials"]
 
 
 class TestApplyCommand:

@@ -12,7 +12,8 @@ MODULES = ("_gauss", "engine", "filters", "lineshapes", "metrics")
 # public names removed from the package; nothing may re-export them again
 REMOVED = [("metrics", "mse_with_noise"), ("metrics", "MseBreakdown"),
            ("engine", "dft_inverse"), ("lineshapes", "lorentzian_ds"),
-           ("lineshapes", "add_white_noise")]
+           ("lineshapes", "add_white_noise"), ("engine", "RsCoefficients"),
+           ("engine", "dft_forward")]
 
 
 def _reexports():

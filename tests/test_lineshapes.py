@@ -79,6 +79,13 @@ class TestPseudoLorentzian:
         with pytest.raises(ValueError):
             pseudo_lorentzian_discrete(-0.1, 50)
 
+    @pytest.mark.parametrize("gamma", [0.01, 0.001])
+    def test_large_grid_and_small_gamma(self, gamma):
+        # the closed form and the finite sum part by roundoff here, beyond
+        # any tail bound; the closed form is still the line asked for
+        f = pseudo_lorentzian_discrete(gamma, 70_000).values
+        assert np.all(np.isfinite(f)) and np.all(f > 0)
+
 
 class TestNoiseModel:
     def test_deterministic_replay(self):

@@ -414,6 +414,8 @@ class TestNoiseCutoff:
     def test_validation(self):
         with pytest.raises(ValueError):
             noise_cutoff(Spectrum(SampleGrid(62), np.ones(125)))  # 63 points k = 0..N
+        with pytest.raises(ValueError, match="need at least 129 points, got 127"):
+            noise_cutoff(Spectrum(SampleGrid(63), np.ones(127)))  # 63 beside k = 0
         with pytest.raises(ValueError):
             noise_cutoff(Spectrum(SampleGrid(100), np.ones(201)), noise_floor=-1.0)
 
