@@ -387,22 +387,20 @@ def cmd_sweep(cfg: RunConfig, command: str) -> int:
     entries = build(cfg, x0)
 
     lines = [LorentzianLine(e * x0) for e in etas]
-    refs = np.array([mse_bw_analytic(e, x0) for e in etas])
-    mses = [[source(e, x0) for e in etas] if callable(source) else mse_numeric(lines, source)
-            for _, column, source in entries if column]
     columns = ["eta"] + [f"ratio_{column}" for _, column, _ in entries if column]
-    absolute = []
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        ratios = np.reshape(mses, (-1, etas.size)) / refs
+        refs = np.array([mse_bw_analytic(e, x0) for e in etas])
+        mses = [[source(e, x0) for e in etas] if callable(source) else mse_numeric(lines, source)
+                for _, column, source in entries if column]
+        cells = np.reshape(mses, (-1, etas.size)) / refs
         if build is _sweep_ra_bw:  # the absolute MSEs first, the published ratio last
             columns = ["eta", "mse_ra", "mse_bw", *columns[1:], "ratio_published"]
-            absolute = [mses[0], refs]
             # the published ratio's exp(3.79 eta) overflows past eta ~ 187
-            ratios = np.vstack([ratios, [mse_ratio_ra_bw(e) for e in etas]])
-    failed = ~np.isfinite(ratios)  # a ratio that is not finite is NaN and counted
-    ratios[failed] = np.nan
+            cells = np.vstack([mses[0], refs, cells, [mse_ratio_ra_bw(e) for e in etas]])
+    failed = ~np.isfinite(cells)  # a cell that is not finite is NaN and counted
+    cells[failed] = np.nan
     meta = [f"x_o={x0!r}"] + [f"spec_{name}: {_spec_line(s)}" for name, _, s in entries if name]
-    TableWriter(cfg, command, meta).write(columns, zip(etas, *absolute, *ratios))
+    TableWriter(cfg, command, meta).write(columns, zip(etas, *cells))
     if failed.any():
         print(f"warning: {np.count_nonzero(failed)} sweep point(s) failed and were marked NaN",
               file=sys.stderr)

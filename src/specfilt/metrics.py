@@ -108,11 +108,20 @@ def mse_bw_analytic(eta, x_o: float = 1.0) -> float:
     return np.exp(-2.0 * SINC_HALF_CROSSING * e) / (2.0 * np.pi * e * x_o)
 
 
+def _log1p_inverse_square(e: float) -> float:
+    """log1p(1/e^2) for e > 0, also where 1/e^2 overflows.
+
+    Below e = 1e-150 it is -2 log(e) + log1p(e^2), and log1p(e^2) < 1e-300 is
+    below the last bit of -2 log(e) >= 690.
+    """
+    return np.log1p(1.0 / e**2) if e > 1e-150 else -2.0 * np.log(e)
+
+
 def mse_ra_analytic(eta, x_o: float = 1.0) -> float:
     """Closed-form running-average MSE for a unit-area line."""
     e = float(eta)
     bracket = (0.5 / e - 2.0 * np.arctan(0.5 / e)
-               - 0.5 * e * np.log1p(1.0 / e**2) + np.arctan(1.0 / e))
+               - 0.5 * e * _log1p_inverse_square(e) + np.arctan(1.0 / e))
     return bracket / (np.pi * x_o)
 
 
@@ -124,7 +133,7 @@ def mse_ratio_ra_bw(eta) -> float:
     """
     e = float(eta)
     bracket = (1.0 - 4.0 * e * np.arctan(0.5 / e)
-               - e**2 * np.log1p(1.0 / e**2) + 2.0 * e * np.arctan(1.0 / e))
+               - e**2 * _log1p_inverse_square(e) + 2.0 * e * np.arctan(1.0 / e))
     return np.exp(3.79 * e) * bracket
 
 
@@ -145,16 +154,19 @@ def noise_gain(spec: FilterSpec) -> NoiseReport:
     ds_value integrates the squared kernel over x, rs_value the squared
     transfer over k (with the 1/2pi convention); each spec class chooses its
     own two routes (``_noise_integrals`` in filters).  Parseval forces
-    equality, and a mismatch beyond 1e-9 relative is raised as a numeric
-    failure.  RA ds and BW rs are closed forms.  Every other integral up to a
-    finite end runs on the Gauss-Legendre core of mse_numeric, and a missed
-    error estimate raises QuadratureError; GH ds integrates the closed-form
-    kernel up to the point past which it is exactly zero, and the CT ds tail
-    is a closed form in exponential integrals, so CT ds never evaluates the
-    transfer.
+    equality, and a mismatch beyond 1e-9 relative, or a value that is not
+    finite, is raised as a numeric failure.  RA ds, BW rs and CT ds are
+    closed forms.  CT ds sums the whole-line integrals of the products of
+    the kernel's six pole terms, so it never evaluates the transfer; its
+    terms cancel by a factor of about a^2, and it agrees with a 40-digit
+    Parseval total to 1e-14 relative for a <= 5 and to max(1e-14, 8 a^2 eps)
+    beyond.  Every other integral up to a finite end runs on the
+    Gauss-Legendre core of mse_numeric, and a missed error estimate raises
+    QuadratureError; GH ds integrates the closed-form kernel up to the point
+    past which it is exactly zero.
     """
     ds, rs = _checked(spec)._noise_integrals()
-    if abs(ds - rs) > 1e-9 * abs(ds):
+    if not (np.isfinite(ds) and np.isfinite(rs) and abs(ds - rs) <= 1e-9 * abs(ds)):
         raise QuadratureError(
             f"direct- and reciprocal-space noise integrals disagree: "
             f"{float(ds)!r} vs {float(rs)!r}"

@@ -7,6 +7,7 @@ import shlex
 import subprocess
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -26,7 +27,7 @@ def _rows(text, sep=","):
 
 def test_import_and_jobs_load_no_scipy(tmp_path):
     """Neither starting the command nor its jobs load a scipy module: the GH
-    transfer, its inverse and E1 are private ports, and the calibration root
+    transfer and its inverse are private ports, and the calibration root
     polish a private port of brentq.  The jobs catch an import made lazily.
     Starting it loads no concurrent.futures either: the Monte Carlo threads
     are plain threading threads."""
@@ -171,6 +172,19 @@ class TestCalibrateCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"does not take {name}, got {name}=" in captured.err
+
+    @pytest.mark.parametrize("block, message", [
+        ("family=bw\nk_o=inf\n", "brick wall requires finite k_o > 0, got inf"),
+        ("family=ct\nk_1=inf\na=5.0\ndk=0.5\n", "cosine-terminated requires finite k_1 >= 0"),
+        ("family=gh\nm=5\nk_s=nan\n", "gauss-hermite requires finite k_s > 0, got nan"),
+    ])
+    def test_spec_file_with_a_value_that_is_not_finite(self, block, message, tmp_path, capsys):
+        dest = tmp_path / "spec.txt"
+        dest.write_text(block)
+        assert main(["kernel", "--spec", str(dest), "--no-timestamp"]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
 
     def test_k1_needs_ct(self, capsys):
         assert main(["calibrate", "--family", "bw", "--k1", "3",
@@ -341,6 +355,33 @@ class TestSweepCommand:
         assert np.isnan(cells[:3]).all() and np.isfinite(cells[3:]).all()
         assert "warning: 3 sweep point(s) failed and were marked NaN" in captured.err
 
+    @pytest.mark.parametrize("eta", ["1e-300", "1e-160"])
+    def test_tiny_eta(self, eta, capsys):
+        """Where 1/eta^2 overflows the RA closed form stays finite: no
+        traceback, no -inf, and nothing to count."""
+        assert main(["sweep", "--kind", "ra-bw", "--eta", eta, "--no-timestamp"]) == EXIT_OK
+        captured = capsys.readouterr()
+        header, body = _rows(captured.out)
+        row = dict(zip(header, body[0]))
+        with mpmath.workdps(40):
+            e = mpmath.mpf(eta)
+            ra = (0.5 / e - 2 * mpmath.atan(0.5 / e) - 0.5 * e * mpmath.log(1 + 1 / e**2)
+                  + mpmath.atan(1 / e)) / mpmath.pi
+        assert float(row["mse_ra"]) == pytest.approx(float(ra), rel=1e-12)
+        assert all(np.isfinite(float(cell)) for cell in body[0])
+        assert "warning" not in captured.err
+        assert main(["sweep", "--kind", "compare", "--eta", eta, "--no-timestamp"]) == EXIT_OK
+        _, body = _rows(capsys.readouterr().out)
+        assert float(body[0][1]) == pytest.approx(1.0, rel=1e-12)  # ratio_ra
+
+    def test_absolute_cell_that_is_not_finite_is_nan_and_counted(self, capsys):
+        """At a subnormal eta both absolute MSEs overflow: NaN, counted with the ratio."""
+        assert main(["sweep", "--kind", "ra-bw", "--eta", "1e-310", "--no-timestamp"]) == EXIT_OK
+        captured = capsys.readouterr()
+        _, body = _rows(captured.out)
+        assert body[0][1:4] == ["nan", "nan", "nan"]
+        assert captured.err == "warning: 3 sweep point(s) failed and were marked NaN\n"
+
     @pytest.mark.parametrize("argv, ratios", [
         (["--kind", "ra-bw", "--eta", "300"], 2),
         (["--kind", "gh", "--eta", "200", "--m-list", "20"], 1),
@@ -423,6 +464,14 @@ class TestNoiseCommand:
         _, unit = _rows(capsys.readouterr().out)
         # the same ct shape: rms gain times sqrt(x0) is the x0 = 1 gain
         assert float(body[3][1]) * x0**0.5 == pytest.approx(float(unit[3][1]), rel=1e-12)
+
+    def test_steep_ct_passes_the_parseval_check(self, capsys):
+        # a = 1000: ct's terms cancel by a factor of about a^2, and the former
+        # direct-space head quadrature missed the 1e-9 check by this much
+        assert main(["noise", "--a", "1000", "--dk", "22.704", "--no-timestamp"]) == EXIT_OK
+        _, body = _rows(capsys.readouterr().out)
+        assert body[3][0] == "ct_a1000.0_dk22.704"
+        assert float(body[3][2]) == pytest.approx(float(body[3][3]), rel=1e-9)
 
     def test_tiny_x0_warns_of_no_overflow(self, capsys):
         # the quadrature's coarse step at slow rates would exceed the float range

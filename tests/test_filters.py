@@ -7,6 +7,7 @@ kernels, and closed-form special-function identities.
 
 import math
 import re
+from dataclasses import fields
 
 import mpmath
 import numpy as np
@@ -77,7 +78,7 @@ class TestCalibration:
         assert calibrate("gh", 1.0, m=1).spec.k_s == pytest.approx(
             1.2507182372452492, rel=1e-10)
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 64, 129, 2000])
+    @pytest.mark.parametrize("n", [1, 2, 3, 64, 129])
     def test_node_rule_is_numpys(self, n):
         """The cached rule is numpy's, and read-only because every caller shares it."""
         nodes, weights = gauss_legendre(n)
@@ -114,6 +115,9 @@ class TestCalibration:
             calibrate("ct", 1.0, a=5.0, dk=0.0)
         with pytest.raises(ValueError):
             GaussHermite(0, 1.0)
+        for order in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="integer order m >= 1"):
+                GaussHermite(order, 1.0)
         with pytest.raises(ValueError):
             calibrate("nope", 1.0)
 
@@ -321,7 +325,7 @@ _PORT_ORDERS = (1, 2, 5, 10, 20, 50, 100, 200, 1000)
 
 
 class TestSpecialFunctionPorts:
-    """The library's own Q(m+1, u), its inverse and E1 against 40-digit mpmath
+    """The library's own Q(m+1, u) and its inverse against 40-digit mpmath
     and against the scipy.special functions they replace."""
 
     @pytest.mark.parametrize("m", _PORT_ORDERS)
@@ -352,20 +356,6 @@ class TestSpecialFunctionPorts:
         assert support_cutoff(spec) ** 2 == pytest.approx(gammainccinv(m + 1, 1e-15), rel=1e-12)
         assert half_transfer_point(spec) ** 2 == pytest.approx(gammainccinv(m + 1, 0.5), rel=1e-12)
 
-    def test_e1_against_40_digit_oracle(self):
-        """On z = -it, t log-uniform in [1e-8, 1e8]: relative error <= 2e-15 below |z| = 2,
-        and <= 4e-15 beyond."""
-        t = np.exp(np.random.default_rng(17).uniform(math.log(1e-8), math.log(1e8), 2000))
-        t = np.concatenate([t, [np.nextafter(2.0, 0.0), 2.0, 7.7, 112.0]])
-        worst = {True: 0.0, False: 0.0}
-        with mpmath.workdps(40):
-            for x in t.tolist():
-                ref = complex(mpmath.e1(mpmath.mpc(0, -x)))
-                err = abs(filters._e1(complex(0.0, -x)) - ref) / abs(ref)
-                worst[x >= 2.0] = max(worst[x >= 2.0], err)
-        assert worst[False] <= 2e-15
-        assert worst[True] <= 4e-15
-
 
 class TestKernel:
     def test_ra_box(self):
@@ -386,6 +376,27 @@ class TestKernel:
                   5.0: -0.0024245717111345128}
         for xv, ref in frozen.items():
             assert float(kernel(spec, xv)) == pytest.approx(ref, abs=2e-12)
+
+    @pytest.mark.parametrize("a", [0.5, 1.0, 5.0, 20.0])
+    def test_ct_pole_terms_sum_to_the_kernel(self, a):
+        """The six pole terms behind the closed-form noise integral are the kernel.
+
+        Away from the poles (|x - c| >= 1/(2 dk)) they agree to 1e-14 of b(0),
+        or to the rounding of the largest terms, 2 eps (a/pi) 2 dk, where that
+        is larger: at a = 20 and k_1 = 0 b(0) is 1/90 of a/pi, and the two
+        sums differ by 1.9e-14 of b(0).
+        """
+        for r in (0.0, 1.0, 30.0):
+            for dk in (1.0, 0.3, 7.0):
+                spec = CosineTerminated(r * dk, a, dk)
+                x = np.linspace(-60.0, 60.0, 2401) / dk
+                poles = np.array([0.0, -1.0, 1.0]) / dk
+                x = x[np.min(np.abs(x[:, None] - poles), axis=1) >= 0.5 / dk]
+                terms = sum(amp * np.sin(w * (x - c) + theta) / (x - c)
+                            for amp, w, theta, c in filters._ct_sin_terms(spec))
+                b0 = kernel(spec, 0.0)
+                tol = max(1e-14 * b0, 2 * np.finfo(float).eps * a / np.pi * 2 * dk)
+                assert np.max(np.abs(terms - kernel(spec, x))) <= tol, (r, dk)
 
     def test_ct_removable_singularities(self):
         """Values at the 1/x pole locations interpolate smoothly."""
@@ -471,6 +482,18 @@ class TestStructure:
         assert support_cutoff(spec) == pytest.approx(k2_of(spec), rel=1e-14)
         gh = calibrate("gh", 1.0, m=100).spec
         assert support_cutoff(gh) == pytest.approx(2.6805788449025, rel=1e-9)
+
+    @pytest.mark.parametrize("cls, args, field", [
+        pytest.param(cls, args, f.name, id=f"{cls.tag}-{f.name}")
+        for cls, args in ((RunningAverage, (1.0,)), (BrickWall, (1.0,)), (GaussHermite, (5, 1.0)),
+                          (CosineTerminated, (1.0, 5.0, 0.5)))
+        for f in fields(cls) if f.type == "float"])
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_field_rejected(self, cls, args, field, bad):
+        """inf passes a bare `x > 0` test, so each float field is checked finite."""
+        given = dict(zip([f.name for f in fields(cls)], args), **{field: bad})
+        with pytest.raises(ValueError, match=f"requires finite {field} "):
+            cls(**given)
 
     def test_breakpoints(self):
         spec = calibrate("ct", 1.0, a=5.0, dk=0.5).spec

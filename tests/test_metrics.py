@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import gammaincc
 
-from specfilt import filters, metrics
+from specfilt import _gauss, filters, metrics
 from specfilt._gauss import exp_weighted
 from specfilt.engine import SampleGrid, Spectrum
 from specfilt.filters import (
@@ -90,6 +90,19 @@ class TestMseClosedForms:
                                                               rel=1e-9)
         with pytest.raises(ValueError):
             crossover_eta("sideways")
+
+    @pytest.mark.parametrize("eta", [1e-300, 1e-200, 1e-160, 1e-151, 1e-149, 1e-100, 1e-3])
+    def test_ra_at_tiny_eta(self, eta):
+        """Where 1/eta^2 overflows, log1p(1/eta^2) is taken as -2 log(eta):
+        both closed forms stay finite and match 40-digit mpmath to 1e-12."""
+        with mp.workdps(40):
+            e = mp.mpf(eta)
+            log_term = mp.log(1 + 1 / e**2)
+            ra = (0.5 / e - 2 * mp.atan(0.5 / e) - 0.5 * e * log_term + mp.atan(1 / e)) / mp.pi
+            ratio = mp.exp(mp.mpf("3.79") * e) * (
+                1 - 4 * e * mp.atan(0.5 / e) - e**2 * log_term + 2 * e * mp.atan(1 / e))
+        assert mse_ra_analytic(eta) == pytest.approx(float(ra), rel=1e-12)
+        assert mse_ratio_ra_bw(eta) == pytest.approx(float(ratio), rel=1e-12)
 
     @given(st.floats(min_value=0.1, max_value=5.0))
     @settings(max_examples=30, deadline=None)
@@ -258,14 +271,17 @@ class TestNoiseGain:
 
     def test_panel_budget_fails_fast(self):
         """Past the core's panel budget either route raises at once."""
-        for ratio in (6000.0, 1e5, 1e9):  # at 6000 the ds head runs out, past it the rs route
+        for ratio in (1e5, 1e9):  # the rs route over [0, k_2] runs out of panels
             start = time.perf_counter()
             with pytest.raises(QuadratureError):
                 noise_gain(CosineTerminated(ratio, 5.0, 1.0))
             assert time.perf_counter() - start < 2.0
 
     def test_nan_integrand_is_a_failure(self, monkeypatch):
-        """A NaN transfer or kernel inside a range raises, never returns NaN."""
+        """A NaN transfer or kernel inside a range raises, never returns NaN.
+
+        gh's ds integrates its kernel; ct's ds is a closed form that reads no
+        kernel value."""
         gh = calibrate("gh", 1.0, m=20).spec
         ct = calibrate("ct", 1.0, a=5.0, dk=0.5).spec
         real_transfer, real_kernel = filters.transfer, filters.kernel
@@ -279,7 +295,19 @@ class TestNoiseGain:
             patch.setattr(filters, "kernel", lambda spec, x: np.where(
                 np.asarray(x) > 5.0, np.nan, real_kernel(spec, x)))
             with pytest.raises(QuadratureError):
-                noise_gain(ct)
+                noise_gain(gh)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("family, kw", [("ra", {}), ("bw", {}), ("gh", {"m": 20}),
+                                            ("ct", {"a": 5.0, "dk": 0.5})],
+                             ids=["ra", "bw", "gh", "ct"])
+    def test_route_that_is_not_finite_is_a_failure(self, family, kw, bad, monkeypatch):
+        """A ds that is NaN or inf fails the Parseval test; a bare `>` would pass NaN."""
+        spec = calibrate(family, 1.0, **kw).spec
+        real = type(spec)._noise_integrals
+        monkeypatch.setattr(type(spec), "_noise_integrals", lambda self: (bad, real(self)[1]))
+        with pytest.raises(QuadratureError, match="disagree"):
+            noise_gain(spec)
 
     def test_failure_names_the_limit(self, monkeypatch):
         """A miss says whether the panel budget or the estimate failed, in the spec's units."""
@@ -291,15 +319,11 @@ class TestNoiseGain:
         with pytest.raises(QuadratureError, match=r"over k in \[0, 2\.00006\] did not "
                            r"converge: it needs more than the 65536 panels allowed"):
             noise_gain(CosineTerminated(2.0, 5.0, 1e-4))
-        # k_1/dk = 6000: the ds head over x in [0, (12 + 1)/dk] runs out first
-        with pytest.raises(QuadratureError, match=r"over x in \[0, 6\.5\] did not "
-                           r"converge: it needs more than"):
-            noise_gain(CosineTerminated(12000.0, 5.0, 2.0))
         real_kernel = filters.kernel
         monkeypatch.setattr(filters, "kernel", lambda spec, x: np.where(
             np.asarray(x) > 5.0, np.nan, real_kernel(spec, x)))
         with pytest.raises(QuadratureError, match="the error estimate missed the tolerance"):
-            noise_gain(CosineTerminated(1.0, 5.0, 0.5))
+            noise_gain(GaussHermite(20, 1.0))
 
 
 # ds_value and rs_value of CosineTerminated(r, a, 1) for r = k_1/dk in
@@ -328,17 +352,9 @@ _CT_FROZEN = {
 _ISLAND_X0 = 18.791550682890122
 
 
-def _ct_kernel_mp(x, k1, a):
-    """Unit-spread ct kernel (1/pi) integral_0^k2 B(k) cos(kx) dk, integrated by hand."""
-    k2 = k1 + mp.acos(1 - 1 / a)
-    roll = (a / 2) * ((mp.sin((x + 1) * k2 - k1) - mp.sin(x * k1)) / (x + 1)
-                      + (mp.sin((x - 1) * k2 + k1) - mp.sin(x * k1)) / (x - 1))
-    return (((1 - a) * mp.sin(k2 * x) + a * mp.sin(k1 * x)) / x + roll) / mp.pi
-
-
 class TestCtNoiseRoutes:
     """The ct noise routes against values frozen from the former quadrature
-    and against a 40-digit oracle for the closed-form direct-space tail."""
+    and against a 40-digit oracle for the closed-form direct-space integral."""
 
     def test_frozen_values(self):
         for a, rows in _CT_FROZEN.items():
@@ -352,28 +368,37 @@ class TestCtNoiseRoutes:
         assert rep.ds_value == pytest.approx(0.03132045379103838, rel=1e-12)
         assert rep.rs_value == pytest.approx(0.031320453791038344, rel=1e-12)
 
-    def test_tail_against_oracle(self):
-        """integral_lo^inf b^2 dx, lo = 12 + 1/dk, against 40-digit mpmath.
+    def test_ds_against_oracle(self):
+        """The whole-line closed form against a 40-digit Parseval total (1/pi) integral B^2 dk.
 
-        The oracle is Parseval's (1/2pi) integral B^2 dk minus integral_0^lo
-        b^2 dx, both by mpmath quadrature of formulas written here.  The tail
-        is compared on the scale of integral_0^inf b^2, the quantity it
-        enters: where the tail is small (a = 1/2, 1e-8 of the total) its own
-        relative error is larger, since its terms cancel by a factor 1e5.
+        The kernel's terms cancel by a factor of about a^2, so the bound is
+        1e-14 relative for a <= 5 and max(1e-14, 8 a^2 eps) beyond.
         """
-        lo = 13.0
         with mp.workdps(40):
-            for a in (0.5, 5.0, 10.0):
-                for r in (0.0, 1.0, 30.0):
-                    A, k1 = mp.mpf(a), mp.mpf(r)
-                    k2 = k1 + mp.acos(1 - 1 / A)
-                    total = (k1 + mp.quad(lambda k: (1 - A + A * mp.cos(k - k1)) ** 2, [k1, k2],
-                                          method="gauss-legendre")) / (2 * mp.pi)
-                    pieces = mp.linspace(mp.mpf(10) ** -30, lo, int(lo * k2 / 40) + 2)
-                    head = mp.quad(lambda x: _ct_kernel_mp(x, k1, A) ** 2, pieces,
-                                   method="gauss-legendre")
-                    got = filters._ct_ds_tail(CosineTerminated(r, a, 1.0), lo)
-                    assert abs(got - float(total - head)) <= 1e-14 * float(total), (a, r)
+            for a in (0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 1e3):
+                tol = 1e-14 if a <= 5 else max(1e-14, 8 * a * a * np.finfo(float).eps)
+                big_a = mp.mpf(a)
+                psi = mp.acos(1 - 1 / big_a)
+                roll = mp.quad(lambda u: (1 - big_a + big_a * mp.cos(u)) ** 2, [0, psi],
+                               method="gauss-legendre")
+                for r in (0.0, 1.0, 3.0, 30.0, 1e3, 6e3):
+                    total = float((r + roll) / mp.pi)
+                    got = filters._ct_ds(CosineTerminated(r, a, 1.0))
+                    assert abs(got - total) <= tol * total, (a, r)
+
+    def test_ds_reads_no_transfer_kernel_or_quadrature(self, monkeypatch):
+        """ct's ds is a closed form over the kernel's terms alone; only
+        test_ct_pole_terms_sum_to_the_kernel ties those terms to the kernel."""
+        spec = CosineTerminated(30.0, 5.0, 1.0)
+        expected = filters._ct_ds(spec)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("ct ds evaluated a transfer, a kernel or a quadrature")
+
+        for module, name in ((filters, "transfer"), (filters, "kernel"),
+                             (filters, "integral"), (_gauss, "integral")):
+            monkeypatch.setattr(module, name, refuse)
+        assert filters._ct_ds(spec) == expected
 
 
 class TestNoiseCutoff:
