@@ -78,7 +78,9 @@ def _composite(g, edges: np.ndarray, rates: np.ndarray,
     for n in (_N, 2 * _N):
         kp, wp = _nodes(edges[last], ends, n)
         g_end = None
-        panels = np.empty((rates.size, edges.size - 1))
+        # the panel sums fill all but the leading zero column of their prefix sums
+        prefix = np.zeros((rates.size, edges.size))
+        panels = prefix[:, 1:]
         step = _BLOCK // n  # panels per block
         for p in range(0, edges.size - 1, step):
             k, w = _nodes(edges[:-1][p:p + step], edges[1:][p:p + step], n)
@@ -94,7 +96,7 @@ def _composite(g, edges: np.ndarray, rates: np.ndarray,
                     np.exp(-rates[s:s + rows, None, None] * k) * gw, axis=2)
         if g_end is None:  # no whole panel
             g_end = g(kp)
-        prefix = np.cumsum(np.pad(panels, ((0, 0), (1, 0))), axis=1)
+        prefix = np.cumsum(prefix, axis=1)
         whole = np.take_along_axis(prefix, last[:, None], axis=1)[:, 0]
         sums.append(whole + np.sum(np.exp(-rates[:, None] * kp) * (g_end * wp), axis=1))
     return sums[1], np.abs(sums[1] - sums[0])
@@ -134,14 +136,16 @@ def exp_weighted(g: Callable[[np.ndarray], np.ndarray], rates, ends, cuts,
         # slow rates it can overflow where no flat part needs it
         fine = width * 2.0 ** -max(level, 0)
         head = min(flat_from, top)
-        n_head = int(head / fine) + 1
+        # panel counts stay floats until checked: at a subnormal rate the end
+        # and so the count is inf
+        n_head = np.floor(head / fine) + 1
         step = width * 2.0 ** -level if flat_from < top else fine
-        n_flat = int((top - flat_from) / step) + 1 if flat_from < top else 0
+        n_flat = np.floor((top - flat_from) / step) + 1 if flat_from < top else 0
         if not n_head + n_flat <= MAX_PANELS:
             values[sel], errors[sel] = np.nan, np.inf
             continue
-        edges = np.unique(np.concatenate([np.arange(n_head) * fine,
-                                          flat_from + np.arange(n_flat) * step,
+        edges = np.unique(np.concatenate([np.arange(int(n_head)) * fine,
+                                          flat_from + np.arange(int(n_flat)) * step,
                                           np.asarray(cuts, dtype=float)]))
         values[sel], errors[sel] = _composite(g, edges[edges <= top], rates[sel], ends[sel])
     return values, errors

@@ -10,11 +10,13 @@ parameter set, so a run can be reproduced from its own output.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import collections
 import datetime
 import shlex
 import sys
+import threading
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -182,12 +184,13 @@ def _spec_line(spec: FilterSpec, x_o: float | None = None) -> str:
 
 def _ct_defaults(x0: float) -> dict[str, float]:
     """ct's a and dk when not given: 5 and 0.5/x0, one shape at every x0."""
-    return {"a": 5.0, "dk": 0.5 / x0 if x0 > 0 else 0.5}  # a bad x0 is reported on its own
+    # a bad x0 is reported on its own
+    return {"a": 5.0, "dk": 0.5 / x0 if 0 < x0 < np.inf else 0.5}
 
 
 # parameter -> (the test a valid value passes, the rule its message states)
 _RANGES = {
-    "x0": (lambda v: v > 0, "must be positive"),
+    "x0": (lambda v: 0 < v < np.inf, "must be positive and finite"),
     "m": (lambda v: v >= 1, "must be an integer >= 1"),
     "a": (lambda v: v >= 0.5, "must be >= 1/2"),
     "dk": (lambda v: v > 0, "must be positive"),
@@ -301,12 +304,13 @@ def cmd_table(cfg: RunConfig, command: str, which: str) -> int:
 def _eta_grid(cfg: RunConfig) -> np.ndarray:
     single = cfg.get("eta")
     if single is not None:
-        cfg.check(single > 0, f"--eta must be positive, got {single}")
+        cfg.check(0 < single < np.inf, f"--eta must be positive and finite, got {single}")
         return np.array([float(single)])
     lo = cfg.get("eta_min", 0.05)
     hi = cfg.get("eta_max", 5.0)
     n = cfg.get("eta_points", 100)
-    cfg.check(lo > 0, f"--eta-min must be positive, got {lo}")
+    cfg.check(0 < lo < np.inf, f"--eta-min must be positive and finite, got {lo}")
+    cfg.check(hi != np.inf, f"--eta-max must be finite, got {hi}")
     cfg.check(hi > lo, f"--eta-max must exceed --eta-min, got [{lo}, {hi}]")
     cfg.check(n >= 1, f"--eta-points must be >= 1, got {n}")
     if cfg.problems:
@@ -314,8 +318,20 @@ def _eta_grid(cfg: RunConfig) -> np.ndarray:
     return np.linspace(lo, hi, int(n))
 
 
-def _gh_ct(cfg: RunConfig, x0: float, **more) -> tuple[FilterSpec, FilterSpec]:
-    """gh of order --m (default 100) and ct of --a and --dk (default its shape), calibrated at x0.
+class _Filter(NamedTuple):
+    """A filter by its family: calibrate it with params at x0, or with unit at x_o = 1.
+
+    unit holds the same dimensionless filter: params with every spread dk
+    taken times x0.
+    """
+
+    family: str
+    params: dict
+    unit: dict
+
+
+def _gh_ct(cfg: RunConfig, x0: float, **more) -> tuple[_Filter, _Filter]:
+    """gh of order --m (default 100) and ct of --a and --dk (default its shape).
 
     The three values are range-checked, then each value in more (a name of
     _RANGES), before any problem is reported.
@@ -324,25 +340,25 @@ def _gh_ct(cfg: RunConfig, x0: float, **more) -> tuple[FilterSpec, FilterSpec]:
     shape = {name: cfg.get(name, value) for name, value in _ct_defaults(x0).items()}
     _check_ranges(cfg, m=m, **shape, **more)
     cfg.finish()
-    return calibrate("gh", x0, m=m).spec, calibrate("ct", x0, **shape).spec
+    return (_Filter("gh", {"m": m}, {"m": m}),
+            _Filter("ct", shape, {"a": shape["a"], "dk": shape["dk"] * x0}))
 
 
-# A sweep builder checks its kind's own flags, calibrates, and returns the
-# kind's entries (header, column, source).  source is a calibrated spec, whose
-# MSE comes by quadrature, or a closed form mse(eta, x0).  header names the
-# entry's spec_ line and column its ratio_ column, the MSE over BW's; either
-# may be None.
+# A sweep builder checks its kind's own flags and returns the kind's entries
+# (header, column, source).  source is a _Filter, whose MSE comes by
+# quadrature, or a closed form mse(eta, x_o).  header names the entry's spec_
+# line and column its ratio_ column, the MSE over BW's; either may be None.
 
 
 def _sweep_ra_bw(cfg: RunConfig, x0: float) -> list:
-    return [("ra", None, calibrate("ra", x0).spec), ("bw", None, calibrate("bw", x0).spec),
+    return [("ra", None, _Filter("ra", {}, {})), ("bw", None, _Filter("bw", {}, {})),
             (None, "closed", mse_ra_analytic)]
 
 
 def _sweep_gh(cfg: RunConfig, x0: float) -> list:
     ms = _parse_list(cfg.get("m_list", "1,2,5,10,20,50,100"), int, "--m-list", cfg)
     cfg.finish()
-    return [(f"gh_m{m}", f"m{m}", calibrate("gh", x0, m=m).spec) for m in ms]
+    return [(f"gh_m{m}", f"m{m}", _Filter("gh", {"m": m}, {"m": m})) for m in ms]
 
 
 def _sweep_ct(cfg: RunConfig, x0: float) -> list:
@@ -352,12 +368,13 @@ def _sweep_ct(cfg: RunConfig, x0: float) -> list:
            else _parse_list(dk_list, float, "--dk-list", cfg))
     _check_ranges(cfg, a=a)
     cfg.finish()
-    return [(f"ct_dk{dk}", f"dk{dk}", calibrate("ct", x0, a=a, dk=dk).spec) for dk in dks]
+    return [(f"ct_dk{dk}", f"dk{dk}", _Filter("ct", {"a": a, "dk": dk}, {"a": a, "dk": dk * x0}))
+            for dk in dks]
 
 
 def _sweep_compare(cfg: RunConfig, x0: float) -> list:
     gh, ct = _gh_ct(cfg, x0)
-    return [(None, "ra", mse_ra_analytic), ("gh", f"gh_m{gh.m}", gh), ("ct", "ct", ct)]
+    return [(None, "ra", mse_ra_analytic), ("gh", f"gh_m{gh.params['m']}", gh), ("ct", "ct", ct)]
 
 
 # sweep kind -> (the --m, --a and --dk it reads, its builder); the first is the
@@ -368,6 +385,49 @@ _SWEEPS = {
     "ct": (("a",), _sweep_ct),
     "compare": (("m", "a", "dk"), _sweep_compare),
 }
+
+
+# Bytes of MSE columns and their eta grids that _MSE_COLUMNS keeps.
+_MSE_BUDGET = 1 << 20
+
+
+class _MseColumns:
+    """MSE columns by unit-scale spec and eta grid, least recently used evicted first.
+
+    A column holds mse_numeric of the unit-area lines of half-width eta, for
+    each eta of the grid, and is read-only: a hit returns the very array the
+    miss computed.  The memo holds at most budget bytes of columns and their
+    grids; a column that alone costs more is computed and not kept.  Callers
+    on several threads share it under its lock, which is not held while a
+    column is computed.
+    """
+
+    def __init__(self, budget: int):
+        self.budget = budget
+        self.nbytes = 0
+        self.columns: collections.OrderedDict = collections.OrderedDict()
+        self.lock = threading.Lock()
+
+    def get(self, spec: FilterSpec, etas: np.ndarray) -> np.ndarray:
+        key = (spec, etas.tobytes())
+        with self.lock:
+            if key in self.columns:
+                self.columns.move_to_end(key)
+                return self.columns[key]
+        column = mse_numeric([LorentzianLine(e) for e in etas], spec)
+        column.flags.writeable = False
+        cost = column.nbytes + len(key[1])
+        with self.lock:
+            if cost <= self.budget and key not in self.columns:
+                self.columns[key] = column
+                self.nbytes += cost
+                while self.nbytes > self.budget:
+                    (_, grid), old = self.columns.popitem(last=False)
+                    self.nbytes -= old.nbytes + len(grid)
+        return column
+
+
+_MSE_COLUMNS = _MseColumns(_MSE_BUDGET)
 
 
 def cmd_sweep(cfg: RunConfig, command: str) -> int:
@@ -385,21 +445,26 @@ def cmd_sweep(cfg: RunConfig, command: str) -> int:
     etas = _eta_grid(cfg)
     cfg.finish()
     entries = build(cfg, x0)
+    # x0 names the filters of the header; every ratio is taken at x_o = 1,
+    # where it depends on eta alone
+    meta = [f"x_o={x0!r}"] + [
+        f"spec_{name}: {_spec_line(calibrate(f.family, x0, **f.params).spec)}"
+        for name, _, f in entries if name]
 
-    lines = [LorentzianLine(e * x0) for e in etas]
     columns = ["eta"] + [f"ratio_{column}" for _, column, _ in entries if column]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        refs = np.array([mse_bw_analytic(e, x0) for e in etas])
-        mses = [[source(e, x0) for e in etas] if callable(source) else mse_numeric(lines, source)
+        refs = np.array([mse_bw_analytic(e, 1.0) for e in etas])
+        mses = [[source(e, 1.0) for e in etas] if callable(source)
+                else _MSE_COLUMNS.get(calibrate(source.family, 1.0, **source.unit).spec, etas)
                 for _, column, source in entries if column]
         cells = np.reshape(mses, (-1, etas.size)) / refs
-        if build is _sweep_ra_bw:  # the absolute MSEs first, the published ratio last
+        if build is _sweep_ra_bw:  # the absolute MSEs at x0 first, the published ratio last
             columns = ["eta", "mse_ra", "mse_bw", *columns[1:], "ratio_published"]
             # the published ratio's exp(3.79 eta) overflows past eta ~ 187
-            cells = np.vstack([mses[0], refs, cells, [mse_ratio_ra_bw(e) for e in etas]])
+            absolute = [[mse(e, x0) for e in etas] for mse in (mse_ra_analytic, mse_bw_analytic)]
+            cells = np.vstack([*absolute, cells, [mse_ratio_ra_bw(e) for e in etas]])
     failed = ~np.isfinite(cells)  # a cell that is not finite is NaN and counted
     cells[failed] = np.nan
-    meta = [f"x_o={x0!r}"] + [f"spec_{name}: {_spec_line(s)}" for name, _, s in entries if name]
     TableWriter(cfg, command, meta).write(columns, zip(etas, *cells))
     if failed.any():
         print(f"warning: {np.count_nonzero(failed)} sweep point(s) failed and were marked NaN",
@@ -413,7 +478,8 @@ def cmd_noise(cfg: RunConfig, command: str) -> int:
     grid_n = cfg.get("grid_n", 256)
     _check_ranges(cfg, x0=x0)
     # the grid is read by the Monte Carlo alone
-    gh, ct = _gh_ct(cfg, x0, trials=trials, grid_n=grid_n if trials > 0 else None)
+    gh, ct = (calibrate(f.family, x0, **f.params).spec
+              for f in _gh_ct(cfg, x0, trials=trials, grid_n=grid_n if trials > 0 else None))
     named = [("ra", calibrate("ra", x0).spec), ("bw", calibrate("bw", x0).spec),
              (f"gh_m{gh.m}", gh), (f"ct_a{ct.a}_dk{ct.dk}", ct)]
     meta = [f"x_o={x0!r}"] + [f"spec_{n}: {_spec_line(s)}" for n, s in named]

@@ -6,16 +6,19 @@ import pathlib
 import shlex
 import subprocess
 import sys
+import threading
+import time
 
 import mpmath
 import numpy as np
 import pytest
 
 import specfilt
-from specfilt import metrics
+from specfilt import cli, metrics
 from specfilt.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_VALIDATION, main
 from specfilt.engine import write_spectrum
-from specfilt.filters import BrickWall, CosineTerminated, parse_spec
+from specfilt.filters import BrickWall, CosineTerminated, calibrate, parse_spec
+from specfilt.lineshapes import LorentzianLine
 
 
 def _rows(text, sep=","):
@@ -395,6 +398,144 @@ class TestSweepCommand:
         assert all(cell == "nan" for cell in body[0][-ratios:])
         assert f"warning: {ratios} sweep point(s) failed and were marked NaN" in captured.err
 
+    @pytest.mark.parametrize("argv", [["--kind", "gh", "--m-list", "5"], ["--kind", "ct"]])
+    def test_subnormal_eta_is_nan_and_counted(self, argv, capsys):
+        """At a subnormal eta the quadrature's range is infinite: over the
+        panel budget, so the cells are NaN and counted, with no traceback."""
+        assert main(["sweep", *argv, "--eta", "1e-310", "--no-timestamp"]) == EXIT_OK
+        captured = capsys.readouterr()
+        _, body = _rows(captured.out)
+        assert body[0][0] == "1e-310" and all(cell == "nan" for cell in body[0][1:])
+        assert captured.err == (f"warning: {len(body[0]) - 1} sweep point(s) failed "
+                                "and were marked NaN\n")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--eta", "inf"], "--eta must be positive and finite, got inf"),
+        (["--eta", "nan"], "--eta must be positive and finite, got nan"),
+        (["--eta-min", "inf", "--eta-max", "inf"],
+         "--eta-min must be positive and finite, got inf"),
+        (["--eta-max", "inf"], "--eta-max must be finite, got inf"),
+        (["--eta-max", "nan"], "--eta-max must exceed --eta-min, got [0.05, nan]"),
+    ])
+    def test_eta_that_is_not_finite_is_rejected(self, argv, message, capsys):
+        """Exit 2 with a message that names the flag; numpy warns of nothing
+        (a warning fails the test)."""
+        assert main(["sweep", "--kind", "ra-bw", *argv, "--no-timestamp"]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"  - {message}\n" in captured.err
+
+
+class TestSweepUnitScale:
+    """Ratio columns are computed at x_o = 1 and memoized per unit spec and eta grid."""
+
+    grid = ["--eta-min", "0.5", "--eta-max", "4", "--eta-points", "7"]
+
+    @staticmethod
+    def _ratios(argv, capsys):
+        assert main(["sweep", *argv, "--no-timestamp"]) == EXIT_OK
+        return [row[1:] for row in _rows(capsys.readouterr().out)[1]]
+
+    @pytest.mark.parametrize("kind, x0s, list_at", [
+        ("gh", ("0.3", "1", "18.791550682890122"), lambda x0: ["--m-list", "1,20,100"]),
+        # s / x0 times x0 is s exactly at a power-of-two x0
+        ("ct", ("0.25", "1", "8"),
+         lambda x0: ["--dk-list", ",".join(repr(s / float(x0)) for s in (0.12, 0.5, 1.0))]),
+    ])
+    def test_ratio_cells_byte_identical_across_x0(self, kind, x0s, list_at, monkeypatch, capsys):
+        cells = []
+        for x0 in x0s:
+            monkeypatch.setattr(cli, "_MSE_COLUMNS", cli._MseColumns(cli._MSE_BUDGET))
+            cells.append(self._ratios(["--kind", kind, *self.grid, *list_at(x0), "--x0", x0],
+                                      capsys))
+        assert cells[0] == cells[1] == cells[2]
+
+    @pytest.mark.parametrize("argv, x0s", [
+        (["--kind", "gh", "--m-list", "5,20"], ("1", "0.3")),
+        (["--kind", "compare"], ("1", "0.25")),  # ct's default dk = 0.5/x0
+    ])
+    def test_repeat_at_another_x0_integrates_nothing(self, argv, x0s, monkeypatch, capsys):
+        calls = []
+        real = cli.mse_numeric
+        monkeypatch.setattr(cli, "mse_numeric",
+                            lambda lines, spec: calls.append(spec) or real(lines, spec))
+        first = self._ratios([*argv, *self.grid, "--x0", x0s[0]], capsys)
+        assert len(calls) == 2
+        second = self._ratios([*argv, *self.grid, "--x0", x0s[1]], capsys)
+        assert len(calls) == 2 and second == first
+
+    def test_hit_returns_the_read_only_column_a_miss_computed(self):
+        memo = cli._MseColumns(cli._MSE_BUDGET)
+        spec, etas = calibrate("gh", 1.0, m=20).spec, np.linspace(1.0, 5.0, 9)
+        column = memo.get(spec, etas)
+        assert memo.get(spec, etas.copy()) is column and not column.flags.writeable
+        assert column.tolist() == metrics.mse_numeric(
+            [LorentzianLine(e) for e in etas], spec).tolist()
+
+    def test_column_over_budget_is_computed_not_kept(self):
+        memo = cli._MseColumns(2 * 8 * 4)  # one 4-point column and its grid
+        spec = calibrate("gh", 1.0, m=5).spec
+        large = memo.get(spec, np.linspace(1.0, 2.0, 5))
+        assert large.shape == (5,) and not memo.columns and memo.nbytes == 0
+        memo.get(spec, np.linspace(1.0, 2.0, 4))
+        assert len(memo.columns) == 1 and memo.nbytes == memo.budget
+
+    def test_holds_at_most_its_budget_least_recent_out(self, monkeypatch):
+        """Random requests against a small budget: the memo never holds more
+        than it, counts what it holds, and evicts the least recently used."""
+        monkeypatch.setattr(cli, "mse_numeric",
+                            lambda lines, spec: np.full(len(lines), float(spec.m)))
+        memo = cli._MseColumns(1000)
+        specs = [calibrate("gh", 1.0, m=m).spec for m in range(1, 9)]
+        rng = np.random.default_rng(7)
+        recent = []  # the keys held, least recent first, as the memo should keep them
+        for _ in range(300):
+            spec, etas = specs[rng.integers(8)], np.arange(1.0, 2.0 + rng.integers(70))
+            key = (spec, etas.tobytes())
+            assert memo.get(spec, etas).tolist() == [float(spec.m)] * etas.size
+            if key in recent:
+                recent.remove(key)
+            if 16 * etas.size <= memo.budget:
+                recent.append(key)
+            while sum(len(grid) * 2 for _, grid in recent) > memo.budget:
+                recent.pop(0)
+            assert list(memo.columns) == recent
+            assert memo.nbytes == sum(len(grid) * 2 for _, grid in recent) <= memo.budget
+
+    def test_threads_share_it_without_losing_count(self, monkeypatch):
+        """More threads than CPUs, switching often: every answer is right and
+        the memo's byte count matches what it holds, within its budget.  The
+        fake quadrature yields the CPU, so two threads can miss one key."""
+        def mse(lines, spec):
+            time.sleep(1e-4)
+            return np.full(len(lines), float(spec.m))
+
+        monkeypatch.setattr(cli, "mse_numeric", mse)
+        memo = cli._MseColumns(1000)
+        specs = [calibrate("gh", 1.0, m=m).spec for m in range(1, 9)]
+        wrong = []
+
+        def work(seed):
+            rng = np.random.default_rng(seed)
+            for _ in range(300):
+                spec, etas = specs[rng.integers(8)], np.arange(1.0, 2.0 + rng.integers(40))
+                if memo.get(spec, etas).tolist() != [float(spec.m)] * etas.size:
+                    wrong.append((spec, etas.size))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(seed,)) for seed in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads) and not wrong
+        held = sum(column.nbytes + len(grid) for (_, grid), column in memo.columns.items())
+        assert memo.nbytes == held <= memo.budget
+
 
 class TestNoiseCommand:
     def test_family_order_and_values(self, capsys):
@@ -585,6 +726,15 @@ class TestGibbsCommand:
 
 
 class TestValidationAndErrors:
+    @pytest.mark.parametrize("argv", [["noise"], ["sweep"], ["calibrate", "--family", "ct"]])
+    def test_infinite_x0_is_rejected_as_x0(self, argv, capsys):
+        """No default derived from it (ct's dk = 0.5/x0) is reported instead."""
+        assert main([*argv, "--x0", "inf", "--no-timestamp"]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("configuration error:\n"
+                                "  - --x0 must be positive and finite, got inf\n")
+
     def test_aggregated_messages(self, capsys):
         rc = main(["sweep", "--x0", "0", "--eta-min", "-2", "--eta-points", "0"])
         assert rc == EXIT_VALIDATION

@@ -189,6 +189,15 @@ class TestMseQuadratureCore:
         with pytest.raises(QuadratureError):
             mse_numeric(LorentzianLine(1e-6), calibrate("ra", 1.0).spec)
 
+    @pytest.mark.parametrize("flat_from", [1.0, np.inf])
+    def test_infinite_end_is_over_the_panel_budget(self, flat_from):
+        """A subnormal rate's range ends at inf: its panel count is over the
+        budget (NaN, inf estimate), and the other rates keep their values."""
+        values, errors = exp_weighted(np.ones_like, [2e-310, 1.0], [np.inf, 30.0], (), 1.0,
+                                      flat_from)
+        assert np.isnan(values[0]) and np.isinf(errors[0])
+        assert values[1] == pytest.approx(-np.expm1(-30.0), rel=1e-13)
+
     def test_nan_integrand_is_a_failure(self, monkeypatch):
         """A NaN transfer inside the range raises; an estimate never hides it."""
         real = metrics.transfer
