@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import collections
 import datetime
+import functools
 import shlex
 import sys
 import threading
@@ -138,7 +139,9 @@ def _value_types(parser: argparse.ArgumentParser) -> dict[str, type]:
 
 
 def _fmt(value) -> str:
-    if isinstance(value, (float, np.floating)):
+    if type(value) is float:
+        return repr(value)
+    if isinstance(value, (float, np.floating)):  # str(np.float64) is not repr(float)
         return repr(float(value))
     return str(value)
 
@@ -172,9 +175,9 @@ class TableWriter:
         self.lines = [f"# {line}" for line in _header(cfg, command, meta)]
 
     def write(self, columns: Sequence[str], rows: Iterable[Sequence]) -> None:
-        self.lines.append(self.sep.join(columns))
-        for row in rows:
-            self.lines.append(self.sep.join(_fmt(v) for v in row))
+        sep = self.sep
+        self.lines.append(sep.join(columns))
+        self.lines += [sep.join(map(_fmt, row)) for row in rows]
         _write_text(self.out, "\n".join(self.lines) + "\n")
 
 
@@ -246,7 +249,8 @@ def _resolve_spec(cfg: RunConfig) -> tuple[FilterSpec, float, CalibrationResult 
             raise IoFailure(f"cannot read spec file {spec_path}: {exc}") from None
         except ValueError as exc:
             raise ValidationFailure([f"bad spec file {spec_path}: {exc}"]) from None
-        cfg.check(x0 > 0, f"bad spec file {spec_path}: x_o must be positive, got {x0}")
+        valid, rule = _RANGES["x0"]
+        cfg.check(valid(x0), f"bad spec file {spec_path}: x_o {rule}, got {x0}")
         cfg.finish()
         return spec, x0, None
     x0 = cfg.get("x0", 1.0)
@@ -452,6 +456,11 @@ def cmd_sweep(cfg: RunConfig, command: str) -> int:
         for name, _, f in entries if name]
 
     columns = ["eta"] + [f"ratio_{column}" for _, column, _ in entries if column]
+    # The closed forms are called once per eta: numpy's array arctan and
+    # log1p do not round as the scalar calls do.  On the 120-point eta grid
+    # 1.0-5.0 their array forms change 2 cells of mse_ra_analytic and 1 of
+    # mse_ratio_ra_bw (13 and 2 of 20 000 etas drawn uniformly from
+    # 0.05-5.0); only mse_bw_analytic matches everywhere.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         refs = np.array([mse_bw_analytic(e, 1.0) for e in etas])
         mses = [[source(e, 1.0) for e in etas] if callable(source)
@@ -465,7 +474,7 @@ def cmd_sweep(cfg: RunConfig, command: str) -> int:
             cells = np.vstack([*absolute, cells, [mse_ratio_ra_bw(e) for e in etas]])
     failed = ~np.isfinite(cells)  # a cell that is not finite is NaN and counted
     cells[failed] = np.nan
-    TableWriter(cfg, command, meta).write(columns, zip(etas, *cells))
+    TableWriter(cfg, command, meta).write(columns, zip(etas.tolist(), *cells.tolist()))
     if failed.any():
         print(f"warning: {np.count_nonzero(failed)} sweep point(s) failed and were marked NaN",
               file=sys.stderr)
@@ -584,8 +593,14 @@ def cmd_gibbs(cfg: RunConfig, command: str) -> int:
     return EXIT_OK
 
 
-def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The specfilt parser and its subcommands' parsers by name."""
+@functools.cache
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, dict[str, type]]]:
+    """The specfilt parser, and the value types of each subcommand's flags by its name.
+
+    Built once per process, at the first main call: parse_args leaves the
+    parser as it was, the tree reads nothing but module constants, and
+    callers change neither result.
+    """
     parser = argparse.ArgumentParser(
         prog="specfilt",
         description="Calibrate, evaluate, and apply linear noise-reduction filters.",
@@ -646,7 +661,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
                    help="normalize lines to unit height instead of unit area")
     p.add_argument("--curve", action="store_const", const=True,
                    help="tabulate residual and kernel curves instead of the summary")
-    return parser, sub.choices
+    return parser, {name: _value_types(p) for name, p in sub.choices.items()}
 
 
 _DISPATCH = {
@@ -662,12 +677,12 @@ _DISPATCH = {
 
 def main(argv: Sequence[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser, commands = _build_parser()
+    parser, types = _build_parser()
     args = parser.parse_args(argv)
     command = "specfilt " + shlex.join(argv)
     try:
         cfg = RunConfig(args, _load_config_file(getattr(args, "config", None)),
-                        _value_types(commands[args.subcommand]))
+                        types[args.subcommand])
         return _DISPATCH[args.subcommand](cfg, command)
     except ValidationFailure as exc:
         print("configuration error:", file=sys.stderr)

@@ -69,6 +69,9 @@ def _cli_commands() -> list[tuple[str, list[str]]]:
         ("roundtrip_kernel", ["kernel", "--spec", "roundtrip_spec.txt", "--points", "21"]),
         ("calibrate_ct_k1", ["calibrate", "--family", "ct", "--k1", "1.2", "--a", "5",
                              "--dk", "0.5"]),
+        # a spec file's x_o is held to --x0's range
+        ("calibrate_spec_x_o_inf", ["calibrate", "--spec", "x_o_inf_spec.txt"]),
+        ("kernel_spec_x_o_inf", ["kernel", "--spec", "x_o_inf_spec.txt", "--points", "3"]),
     ]
     for family in ("bw", "gh", "ct"):
         for route in ("rs", "ds"):
@@ -124,6 +127,7 @@ def main(argv: list[str]) -> int:
           file=sys.stderr)
     _write_spectrum_file("line.dat")
     pathlib.Path("bogus_kind.cfg").write_text("kind = bogus\n")
+    pathlib.Path("x_o_inf_spec.txt").write_text("family=bw\nx_o=inf\nk_o=1.0\n")
     for name, args in _cli_commands():
         _record(name, lambda args=args: cli(args))
     for stem in ("run_mse_sweeps", "run_noise_table", "run_gibbs_report"):

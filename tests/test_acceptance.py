@@ -377,3 +377,65 @@ def test_11_kernel_evaluation_speed():
     _verdict(11, "kernel evaluation speed", True,
              f"closed form {speedup:.0f}x faster than uncached quadrature{note}")
     assert speedup > 0
+
+
+def _ds_mse_errors(spec, gammas, n, dx, radius=None):
+    """Relative error, against mse_numeric, of each unit-area line's direct-space MSE.
+
+    The line is sampled on 2n+1 points spaced dx, filtered by apply_filter_ds
+    and the MSE taken as sum((f - y)^2) dx.
+    """
+    grid = SampleGrid(n)
+    x = grid.indices * dx
+    errs = []
+    for g, ref in zip(gammas, mse_numeric([LorentzianLine(g) for g in gammas], spec)):
+        f = (g / np.pi) / (x**2 + g**2)
+        y = apply_filter_ds(Spectrum(grid, f), spec, dx=dx, radius=radius).values
+        errs.append(float(np.sum((f - y) ** 2)) * dx / ref - 1.0)
+    return np.array(errs)
+
+
+def test_13_mse_parseval_end_to_end():
+    """A line filtered in direct space has the MSE mse_numeric takes in reciprocal space.
+
+    Two grids of 40 001 points, at dx = 0.02 (window 800) and dx = 0.04
+    (window 1600), so dx and the window double together.  ra's error is set
+    by dx, at order dx^2 (its sampled box edge), and grows 4x; bw's by the
+    window, at order 1/window (the sinc tail the periodic grid wraps), and
+    halves.  gh stalls near 1e-9, the floor of sampled_kernel's truncation at
+    1e-8 of b(0): with the whole grid as radius it falls below 1e-11.
+    """
+    gammas = (0.5, 1.0, 2.0)
+    specs = {"bw": calibrate("bw", 1.0).spec, "ra": calibrate("ra", 1.0).spec,
+             "gh": calibrate("gh", 1.0, m=20).spec,
+             "ct": calibrate("ct", 1.0, a=5.0, dk=0.5).spec}
+    n = 20000
+    fine = {name: _ds_mse_errors(s, gammas, n, 0.02) for name, s in specs.items()}
+    coarse = {name: _ds_mse_errors(s, gammas, n, 0.04) for name, s in specs.items()}
+    gh_full = _ds_mse_errors(specs["gh"], gammas, n, 0.02, radius=n)
+    problems = []
+    # bounds at dx = 0.02, about 2-3x the measured worst: bw 2.6e-3, ra 3.3e-4,
+    # gh 1.7e-9, ct 3.3e-6
+    for name, bound in (("bw", 5e-3), ("ra", 1e-3), ("gh", 5e-9), ("ct", 1e-5)):
+        worst = float(np.max(np.abs(fine[name])))
+        if worst > bound:
+            problems.append(f"{name} error {worst:.1e} above {bound:.0e}")
+    ra_order = coarse["ra"] / fine["ra"]  # 4 for order dx^2
+    bw_order = fine["bw"] / coarse["bw"]  # 2 for order 1/window
+    if not np.all((ra_order > 3.5) & (ra_order < 4.5)):
+        problems.append(f"ra error ratio {ra_order} not 4 (+-0.5) as dx doubles")
+    if not np.all((bw_order > 1.7) & (bw_order < 2.3)):
+        problems.append(f"bw error ratio {bw_order} not 2 (+-0.3) as the window doubles")
+    if float(np.max(np.abs(coarse["ct"]))) > 1e-5:
+        problems.append(f"ct error {np.max(np.abs(coarse['ct'])):.1e} above 1e-05 at dx=0.04")
+    gh_floor = float(np.max(np.abs(gh_full)))
+    if gh_floor > 1e-11:
+        problems.append(f"gh error at full radius {gh_floor:.1e} above 1e-11")
+    detail = _verdict(13, "mse parseval end to end", not problems,
+                      "; ".join(problems) or
+                      f"ra dx^2 ratio {ra_order.min():.2f}-{ra_order.max():.2f}, "
+                      f"bw window ratio {bw_order.min():.2f}-{bw_order.max():.2f}, "
+                      f"gh {np.max(np.abs(fine['gh'])):.1e} truncated, "
+                      f"{gh_floor:.1e} at full radius, "
+                      f"ct worst {np.max(np.abs(fine['ct'])):.1e}")
+    assert not problems, detail

@@ -63,6 +63,61 @@ def test_import_and_jobs_load_no_scipy(tmp_path):
     assert (tmp_path / "gh.dat.report.txt").exists() and (tmp_path / "ct.dat.report.txt").exists()
 
 
+class TestParserBuiltOnce:
+    def test_two_calls_build_it_once(self, capsys):
+        cli._build_parser.cache_clear()
+        for _ in range(2):
+            assert main(["calibrate", "--family", "bw", "--no-timestamp"]) == EXIT_OK
+        info = cli._build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+    def test_after_a_call_it_answers_as_a_fresh_parser(self, capsys):
+        """Rejections, help and --version of the cached parser are a fresh one's."""
+        assert main(["calibrate", "--family", "bw", "--no-timestamp"]) == EXIT_OK
+        capsys.readouterr()
+        fresh, _ = cli._build_parser.__wrapped__()
+        for argv, code in ((["calibrate", "--bogus", "1"], 2), (["sweep", "--kind", "nope"], 2),
+                           ([], 2), (["sweep", "--help"], 0)):
+            with pytest.raises(SystemExit) as cached:
+                main(argv)
+            got = capsys.readouterr()
+            with pytest.raises(SystemExit) as built:
+                fresh.parse_args(argv)
+            assert cached.value.code == built.value.code == code
+            assert got == capsys.readouterr()
+            assert (got.err if code else got.out).startswith("usage: specfilt")
+        with pytest.raises(SystemExit) as exc:
+            main(["--version"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == f"specfilt {specfilt.__version__}\n"
+
+    def test_import_builds_no_parser(self, tmp_path):
+        """Importing the command builds no parser: the first main call does."""
+        src = pathlib.Path(specfilt.__file__).resolve().parents[1]
+        code = "\n".join([
+            "import argparse, os",
+            "built = []",
+            "init = argparse.ArgumentParser.__init__",
+            "def counting(self, *args, **kwargs):",
+            "    built.append(1)",
+            "    init(self, *args, **kwargs)",
+            "argparse.ArgumentParser.__init__ = counting",
+            "import specfilt.cli",
+            "at_import = len(built)",
+            "specfilt.cli.main(['calibrate', '--family', 'bw', '--out', os.devnull])",
+            "print(at_import, len(built) > 0, specfilt.cli._build_parser.cache_info().currsize)",
+        ])
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, cwd=tmp_path,
+                             env={**os.environ, "PYTHONPATH": str(src)}).stdout
+        assert out == "0 True 1\n"
+
+
+@pytest.mark.parametrize("value", [1e-5, 1e16, -0.0, 5e-324, np.inf, np.nan])
+def test_numpy_float_cell_is_written_as_its_python_float(value):
+    assert cli._fmt(np.float64(value)) == cli._fmt(value) == repr(value)
+
+
 class TestCalibrateCommand:
     def test_output_parses_back(self, capsys):
         assert main(["calibrate", "--family", "bw", "--no-timestamp"]) == EXIT_OK
@@ -188,6 +243,18 @@ class TestCalibrateCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert message in captured.err
+
+    @pytest.mark.parametrize("sub", ["calibrate", "kernel"])
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_spec_file_x_o_must_be_positive_and_finite(self, sub, value, tmp_path, capsys):
+        """A file's x_o passes the range --x0 passes."""
+        dest = tmp_path / "spec.txt"
+        dest.write_text(f"family=bw\nx_o={value}\nk_o=1.0\n")
+        assert main([sub, "--spec", str(dest), "--no-timestamp"]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert (f"bad spec file {dest}: x_o must be positive and finite, got {value}\n"
+                in captured.err)
 
     def test_k1_needs_ct(self, capsys):
         assert main(["calibrate", "--family", "bw", "--k1", "3",
