@@ -1,12 +1,13 @@
-"""Gauss-Legendre core: cached nodes and one batched composite rule.
+"""Gauss-Legendre core of the MSE: cached nodes and one batched composite rule.
 
 Every Gauss-Legendre node set in specfilt comes from ``gauss_legendre``,
 which fills its cache on first use, never at import; only the 32- and
 64-node rules are in use.  ``exp_weighted`` integrates
 exp(-r_j k) g(k) over [0, end_j] for a whole batch of rates r_j at once: g
 is evaluated once on panel nodes shared by every rate of a panel level, so
-only the exponential factor grows with the batch.  ``integral`` is its
-one-integral form, which raises ``QuadratureError`` on a miss.
+only the exponential factor grows with the batch.  It is the only adaptive
+rule in specfilt: the noise routes run none.  ``sorted_unique`` is
+np.unique without its import of numpy.ma.
 """
 
 from __future__ import annotations
@@ -15,14 +16,11 @@ import functools
 from typing import Callable
 
 import numpy as np
-# np.unique imports numpy.ma on its first call: load it with specfilt, not inside a job
-import numpy.ma  # noqa: F401
 from numpy.polynomial.legendre import leggauss
 
-__all__ = ["QuadratureError", "gauss_legendre", "exp_weighted", "converged", "integral"]
+__all__ = ["QuadratureError", "gauss_legendre", "exp_weighted", "converged", "sorted_unique"]
 
-# Convergence tolerances of the composite rule, shared by mse_numeric and
-# every quadrature route of noise_gain.
+# Convergence tolerances of the composite rule.
 EPSABS = 1e-14
 EPSREL = 1e-10
 
@@ -52,6 +50,12 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     nodes.flags.writeable = False
     weights.flags.writeable = False
     return nodes, weights
+
+
+def sorted_unique(values) -> np.ndarray:
+    """The distinct values in ascending order, as np.unique gives them for finite values."""
+    values = np.sort(values)
+    return values[np.diff(values, prepend=np.nan) != 0]
 
 
 def converged(values: np.ndarray, errors: np.ndarray) -> np.ndarray:
@@ -129,7 +133,7 @@ def exp_weighted(g: Callable[[np.ndarray], np.ndarray], rates, ends, cuts,
     levels = np.ceil(np.log2(np.maximum(rates * width / _RATE_SPAN, 1e-9))).astype(int)
     values = np.empty(rates.size)
     errors = np.empty(rates.size)
-    for level in np.unique(levels):
+    for level in sorted_unique(levels):
         sel = np.nonzero(levels == level)[0]
         top = float(ends[sel].max())
         # the coarse step width * 2**-level is taken only past flat_from: at
@@ -144,25 +148,9 @@ def exp_weighted(g: Callable[[np.ndarray], np.ndarray], rates, ends, cuts,
         if not n_head + n_flat <= MAX_PANELS:
             values[sel], errors[sel] = np.nan, np.inf
             continue
-        edges = np.unique(np.concatenate([np.arange(int(n_head)) * fine,
-                                          flat_from + np.arange(int(n_flat)) * step,
-                                          np.asarray(cuts, dtype=float)]))
+        edges = sorted_unique(np.concatenate([np.arange(int(n_head)) * fine,
+                                              flat_from + np.arange(int(n_flat)) * step,
+                                              np.asarray(cuts, dtype=float)]))
         values[sel], errors[sel] = _composite(g, edges[edges <= top], rates[sel], ends[sel])
     return values, errors
 
-
-def integral(g, end: float, width: float, cuts=(), var: str = "k",
-             unit: float = 1.0) -> float:
-    """integral_0^end g on the composite rule; a miss raises QuadratureError.
-
-    The message names which limit was hit and gives the range of ``var`` in
-    the spec's own units, ``unit`` being one step of g's argument in them.
-    """
-    values, errors = exp_weighted(g, [0.0], [end], cuts, width, np.inf)
-    if not converged(values, errors)[0]:
-        budget = np.isnan(values[0]) and np.isinf(errors[0])  # see exp_weighted
-        limit = (f"it needs more than the {MAX_PANELS} panels allowed" if budget
-                 else "the error estimate missed the tolerance")
-        raise QuadratureError(
-            f"quadrature over {var} in [0, {end * unit:g}] did not converge: {limit}")
-    return float(values[0])

@@ -23,8 +23,6 @@ from typing import Callable, ClassVar, Union
 
 import numpy as np
 
-from ._gauss import integral
-
 __all__ = [
     "SINC_HALF_CROSSING",
     "FAMILIES",
@@ -74,7 +72,8 @@ class _Family:
     classmethod, which takes x_o and, keyword-only and without defaults, the
     parameters it reads.  ``_noise_integrals`` returns (ds, rs): the integral of
     b(x)^2 over x and of B(k)^2 over k / (2 pi), by routes that share no
-    evaluation, so that ``noise_gain`` can hold them to Parseval.  Methods
+    evaluation, so that ``noise_gain`` can hold them to Parseval.  Each route
+    is a closed form or a fixed sum, exact to rounding; none is adaptive.  Methods
     call the module functions (``kernel``, ``transfer``, ...), not each
     other, so that a wrapper bound to those names sees every call;
     only the calibration scans, which run at unit scale on no spec, call
@@ -126,8 +125,8 @@ class RunningAverage(_Family):
         return self.x_o
 
     def _noise_integrals(self) -> tuple[float, float]:
-        ds = 1.0 / (2.0 * self.x_o)                      # exact box integral
-        return ds, _SINC2_INTEGRAL / (np.pi * self.x_o)
+        # ds is the box's own integral
+        return 1.0 / (2.0 * self.x_o), _SINC2_INTEGRAL / (np.pi * self.x_o)
 
     @classmethod
     def _calibrated(cls, x_o: float) -> RunningAverage:
@@ -164,8 +163,8 @@ class BrickWall(_Family):
         return SINC_HALF_CROSSING / self.k_o
 
     def _noise_integrals(self) -> tuple[float, float]:
-        rs = self.k_o / np.pi                            # exact box integral
-        return 2.0 * self.k_o * _SINC2_INTEGRAL / np.pi**2, rs
+        # rs is the box's own integral
+        return 2.0 * self.k_o * _SINC2_INTEGRAL / np.pi**2, self.k_o / np.pi
 
     @classmethod
     def _calibrated(cls, x_o: float) -> BrickWall:
@@ -219,15 +218,22 @@ class GaussHermite(_Family):
         return self.k_s * math.sqrt(_gh_u_at(self.m, 0.5))
 
     def _noise_integrals(self) -> tuple[float, float]:
-        rs = integral(lambda k: transfer(self, k) ** 2, support_cutoff(self),
-                      _panel_width(self)) / np.pi
-        # At k_s = 2 the kernel's argument is y = k_s x / 2 itself, and
-        # b(x) = (k_s / 2) b_2(y), so ds is k_s times the unit integral.  b_2^2
-        # oscillates at most at twice its transfer's support: each panel
-        # spans about four such periods.
-        unit = GaussHermite(self.m, 2.0)
-        ds = self.k_s * integral(lambda y: kernel(unit, y) ** 2, _gh_y_cut(unit.m),
-                                 12.0 / support_cutoff(unit), var="x", unit=2.0 / self.k_s)
+        # Whole-line trapezoid sums at unit scale.  Both integrands are entire
+        # and fall off like Gaussians, so a sum's only error is its first
+        # alias, at 2 pi / h, and each step h puts it past the other space's
+        # cutoff (at 0.9 of the largest such step).  At k_s = 1 the kernel is
+        # exactly 0 past |x| = 2 y_cut, so B_1^2 has no content past 4 y_cut;
+        # at k_s = 2 (y = x) B_2 < 1e-15 past W, so b_2^2 has none past 2 W.
+        # B(k) = B_1(k / k_s) and b(x) = (k_s / 2) b_2(k_s x / 2), so each
+        # integral is k_s times its unit-scale value.
+        y_cut = _gh_y_cut(self.m)
+        one, two = GaussHermite(self.m, 1.0), GaussHermite(self.m, 2.0)
+        h = 0.9 * math.pi / (2.0 * y_cut)
+        big_b = transfer(one, h * np.arange(1, int(support_cutoff(one) / h) + 1))
+        rs = self.k_s / math.pi * h * (0.5 + float(np.sum(big_b * big_b)))
+        h = 0.9 * math.pi / support_cutoff(two)
+        b = kernel(two, h * np.arange(int(y_cut / h) + 1))
+        ds = 0.5 * self.k_s * h * (b[0] * b[0] + 2.0 * float(np.sum(b[1:] * b[1:])))
         return ds, rs
 
     @classmethod
@@ -276,12 +282,10 @@ class CosineTerminated(_Family):
         # Both routes run at unit spread: B(k) = B_1(k/dk) and
         # b(x) = dk * b_1(dk * x), so each integral is dk times its unit-spread
         # value, and the poles of the ds terms sit at 0 and +-1 exactly.  ds is
-        # a closed form over the kernel's terms, so it never evaluates the
-        # transfer.
+        # a closed form over the kernel's terms and rs one over the transfer's
+        # pieces; neither evaluates the other space.
         unit = CosineTerminated(self.k_1 / self.dk, self.a, 1.0)
-        rs = self.dk * integral(lambda k: transfer(unit, k) ** 2, k2_of(unit), _panel_width(unit),
-                                breakpoints(unit), unit=self.dk) / np.pi
-        return self.dk * _ct_ds(unit), rs
+        return self.dk * _ct_ds(unit), self.dk * (unit.k_1 + _ct_rolloff_square(self.a)) / np.pi
 
     @classmethod
     def _calibrated(cls, x_o: float, *, a: float, dk: float) -> CosineTerminated:
@@ -340,15 +344,6 @@ def breakpoints(spec: FilterSpec) -> tuple[float, ...]:
 def half_transfer_point(spec: FilterSpec) -> float:
     """First k where B(k) = 1/2 (the reciprocal-space cutoff equivalent)."""
     return _checked(spec)._half_transfer_point()
-
-
-def _panel_width(spec: FilterSpec) -> float:
-    # Length over which (1-B)^2 changes: the fall from B = 1/2 to the support
-    # cutoff, capped at the half-transfer point, which is the scale itself
-    # where that fall is a step (bw) or there is no cutoff (ra).
-    k_half = half_transfer_point(spec)
-    end = support_cutoff(spec)
-    return min(k_half, end - k_half) if end is not None and end > k_half else k_half
 
 
 def _ct_kernel(k1, a: float, dk: float, x):
@@ -428,6 +423,31 @@ def _ct_ds(spec: CosineTerminated) -> float:
                          - _sin_sin_over_t(w_j, t_j, w_i, w_i * (c_j - c_i) + t_i)) / (c_i - c_j)
             total += a_i * a_j * value
     return total
+
+
+# Taylor coefficients in T^2, highest power first, of (T - sin T) / T^3 and of
+# (3T - 4 sin T + sin T cos T) / T^5; below T = 1 their last terms are under
+# 1e-17 of the first
+_T_MINUS_SIN = tuple((-1) ** (n + 1) / math.factorial(2 * n + 1) for n in range(9, 0, -1))
+_ROLL_QUARTIC = tuple((-1) ** n * (4 ** n - 4) / math.factorial(2 * n + 1)
+                      for n in range(12, 1, -1))
+
+
+def _ct_rolloff_square(a: float) -> float:
+    """integral_0^T B^2 dtheta over the rolloff at unit spread, in closed form.
+
+    On it B = 1 - 2a sin^2(theta/2) with T = arccos(1 - 1/a), as in k2_of, so
+    the integral is T - 2a (T - sin T) + (a^2/2)(3T - 4 sin T + sin T cos T).
+    The two brackets cancel as T^3/6 and T^5/10, so below T = 1 (a > 2.18)
+    they are summed from their Taylor series instead.
+    """
+    t = math.acos(1.0 - 1.0 / a)
+    t2, sin_t = t * t, math.sin(t)
+    if t < 1.0:
+        gap, quartic = t * t2 * _horner(_T_MINUS_SIN, t2), t * t2 * t2 * _horner(_ROLL_QUARTIC, t2)
+    else:
+        gap, quartic = t - sin_t, 3.0 * t - 4.0 * sin_t + sin_t * math.cos(t)
+    return t - 2.0 * a * gap + 0.5 * a * a * quartic
 
 
 # stirlerr(n) = log(n!) - (n + 1/2) log(n) + n - log(2 pi)/2, the error of

@@ -14,14 +14,13 @@ from typing import Sequence
 
 import numpy as np
 
-from ._gauss import QuadratureError, converged, exp_weighted, gauss_legendre
+from ._gauss import QuadratureError, converged, exp_weighted, gauss_legendre, sorted_unique
 from .engine import Spectrum
 from .filters import (
     SINC_HALF_CROSSING,
     FilterSpec,
     _brentq,
     _checked,
-    _panel_width,
     breakpoints,
     half_transfer_point,
     support_cutoff,
@@ -59,25 +58,25 @@ class GibbsReport:
     period_estimate: float
 
 
-def _k_max_for(line: LorentzianLine, spec: FilterSpec) -> float:
-    # Beyond the transfer's support the integrand is pure |F|^2, so the cutoff
-    # must sit far enough past it for the tail to be negligible relative to
-    # the stop-band contribution, not just absolutely small.
-    end = support_cutoff(spec) or 0.0
-    return max(18.5 / line.gamma, end + 12.5 / line.gamma)
-
-
 def _mse_integrals(lines: Sequence[LorentzianLine], spec: FilterSpec) -> np.ndarray:
     """2*pi * integral |F_j|^2 (1-B)^2 dk for each line j; NaN where not converged."""
     # |F|^2 = (area/2pi)^2 exp(-2 gamma k); the tolerance applies to the
     # integral of |F|^2 (1-B)^2 before the factor 4 pi of the even integrand.
-    ends = [_k_max_for(line, spec) for line in lines]
+    # Beyond the transfer's support the integrand is pure |F|^2, so each end
+    # sits far enough past it for the tail to be negligible relative to the
+    # stop-band contribution, not just absolutely small.
+    end = support_cutoff(spec)
+    ends = [max(18.5 / line.gamma, (end or 0.0) + 12.5 / line.gamma) for line in lines]
     rates = [2.0 * line.gamma for line in lines]
     scale = np.array([(line.area / (2.0 * np.pi)) ** 2 for line in lines])
-    end = support_cutoff(spec)
+    # The panel width is the length over which (1-B)^2 changes: the fall from
+    # B = 1/2 to the support cutoff, capped at the half-transfer point, which
+    # is the scale itself where that fall is a step (bw) or there is no
+    # cutoff (ra).
+    k_half = half_transfer_point(spec)
+    width = min(k_half, end - k_half) if end is not None and end > k_half else k_half
     values, errors = exp_weighted(lambda k: (1.0 - transfer(spec, k)) ** 2, rates, ends,
-                                  breakpoints(spec), _panel_width(spec),
-                                  np.inf if end is None else end)
+                                  breakpoints(spec), width, np.inf if end is None else end)
     values, errors = scale * values, scale * errors
     return 4.0 * np.pi * np.where(converged(values, errors), values, np.nan)
 
@@ -155,15 +154,17 @@ def noise_gain(spec: FilterSpec) -> NoiseReport:
     transfer over k (with the 1/2pi convention); each spec class chooses its
     own two routes (``_noise_integrals`` in filters).  Parseval forces
     equality, and a mismatch beyond 1e-9 relative, or a value that is not
-    finite, is raised as a numeric failure.  RA ds, BW rs and CT ds are
-    closed forms.  CT ds sums the whole-line integrals of the products of
-    the kernel's six pole terms, so it never evaluates the transfer; its
+    finite, is raised as a numeric failure; no route runs adaptive
+    quadrature.  RA and BW are closed forms on both routes.  GH sums each
+    integrand on a whole-line trapezoid rule at unit scale, with a step that
+    puts its one alias past the other space's cutoff, so the gap is rounding
+    alone.  CT rs is the rolloff's elementary closed form, summed from
+    Taylor series where it would cancel, and agrees with 40 digits to 1e-14
+    for a up to 1e12.  CT ds sums the whole-line integrals of the products
+    of the kernel's six pole terms, so it never evaluates the transfer; its
     terms cancel by a factor of about a^2, and it agrees with a 40-digit
     Parseval total to 1e-14 relative for a <= 5 and to max(1e-14, 8 a^2 eps)
-    beyond.  Every other integral up to a finite end runs on the
-    Gauss-Legendre core of mse_numeric, and a missed error estimate raises
-    QuadratureError; GH ds integrates the closed-form kernel up to the point
-    past which it is exactly zero.
+    beyond.
     """
     ds, rs = _checked(spec)._noise_integrals()
     if not (np.isfinite(ds) and np.isfinite(rs) and abs(ds - rs) <= 1e-9 * abs(ds)):
@@ -185,6 +186,13 @@ def _moving_average(values: np.ndarray, win: int) -> np.ndarray:
     pad = np.zeros(win // 2)
     tail = np.cumsum(np.concatenate((pad, values, pad, [0.0]))[::-1])[::-1]
     return (tail[:values.size] - tail[win:win + values.size]) / win
+
+
+def _median(values: np.ndarray) -> float:
+    """np.median of a 1-d array, bit for bit, without its masked-array check (numpy.ma)."""
+    mid = [(values.size - 1) // 2, values.size // 2]  # one index twice at an odd size
+    part = np.partition(values, [*mid, -1])
+    return np.nan if np.isnan(part[-1]) else float(np.sum(part[mid])) / 2.0
 
 
 # noise_cutoff searches spectra of at least this many points, 64 positive
@@ -217,8 +225,8 @@ def noise_cutoff(spectrum: Spectrum, noise_floor: float | None = None) -> float 
     smoothed = _moving_average(half, win)
     # background estimate: flat only if the top quarters match and sit well
     # above transform roundoff (else the spectrum is noiseless in range)
-    med_top = float(np.median(half[3 * npts // 4:]))
-    med_third = float(np.median(half[npts // 2: 3 * npts // 4]))
+    med_top = _median(half[3 * npts // 4:])
+    med_third = _median(half[npts // 2: 3 * npts // 4])
     flat = (med_top > 1e-24 * float(np.max(half)) and med_third <= 4.0 * med_top)
     background = med_top / np.log(2.0) if flat else 0.0
     if noise_floor is None:
@@ -283,7 +291,7 @@ def gibbs_residual(line: LorentzianLine, spec: FilterSpec,
         s_end = 30.0 / gam + 3.0 * half_transfer_point(spec)
     shift = x_grid - line.center
     x_ref = float(np.max(np.abs(shift)))
-    edges = np.unique(np.concatenate([
+    edges = sorted_unique(np.concatenate([
         np.linspace(0.0, s_end, max(5, int(s_end * x_ref / 30.0) + 1)),
         [b for b in breakpoints(spec) if 0.0 < b < s_end],
     ]))

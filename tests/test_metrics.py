@@ -4,6 +4,10 @@ The closed forms here have independent numeric counterparts (adaptive
 quadrature, literal tail sums); frozen values pin both routes.
 """
 
+import ast
+import functools
+import math
+import pathlib
 import time
 
 import mpmath as mp
@@ -279,27 +283,30 @@ class TestNoiseGain:
         assert rs[0] < rs[1] < rs[2] < calibrate("bw", 1.0).spec.k_o / np.pi
 
     def test_panel_budget_fails_fast(self):
-        """Past the core's panel budget either route raises at once."""
-        for ratio in (1e5, 1e9):  # the rs route over [0, k_2] runs out of panels
+        """Far past the panel budget of the former ct rs quadrature (k_1/dk up
+        to 1e9), both closed forms finish at once and agree."""
+        for ratio in (1e5, 1e9):
             start = time.perf_counter()
-            with pytest.raises(QuadratureError):
-                noise_gain(CosineTerminated(ratio, 5.0, 1.0))
+            rep = noise_gain(CosineTerminated(ratio, 5.0, 1.0))
             assert time.perf_counter() - start < 2.0
+            assert rep.ds_value == pytest.approx(rep.rs_value, rel=1e-14)
+            assert rep.rs_value == pytest.approx(_ct_rs_oracle(ratio, 5.0, 1.0), rel=1e-14)
 
     def test_nan_integrand_is_a_failure(self, monkeypatch):
-        """A NaN transfer or kernel inside a range raises, never returns NaN.
+        """A NaN transfer or kernel that a route reads raises, never returns NaN.
 
-        gh's ds integrates its kernel; ct's ds is a closed form that reads no
-        kernel value."""
+        gh's rs sums its transfer and its ds its kernel; ct's two routes are
+        closed forms that read neither, so the patch leaves them unchanged."""
         gh = calibrate("gh", 1.0, m=20).spec
         ct = calibrate("ct", 1.0, a=5.0, dk=0.5).spec
+        ct_unpatched = noise_gain(ct)
         real_transfer, real_kernel = filters.transfer, filters.kernel
         with monkeypatch.context() as patch:
             patch.setattr(filters, "transfer", lambda spec, k: np.where(
                 np.asarray(k) > 1.0, np.nan, real_transfer(spec, k)))
-            for spec in (gh, ct):
-                with pytest.raises(QuadratureError):
-                    noise_gain(spec)
+            with pytest.raises(QuadratureError):
+                noise_gain(gh)
+            assert noise_gain(ct) == ct_unpatched
         with monkeypatch.context() as patch:
             patch.setattr(filters, "kernel", lambda spec, x: np.where(
                 np.asarray(x) > 5.0, np.nan, real_kernel(spec, x)))
@@ -319,20 +326,118 @@ class TestNoiseGain:
             noise_gain(spec)
 
     def test_failure_names_the_limit(self, monkeypatch):
-        """A miss says whether the panel budget or the estimate failed, in the spec's units."""
+        """The MSE's core tells an exhausted panel budget from a missed estimate;
+        the noise routes have neither, and a route that is not finite is named
+        by its value in the disagreement message."""
         budget = np.isinf(exp_weighted(np.ones_like, [0.0], [1e9], (), 1.0, np.inf)[1][0])
         missed = np.isnan(exp_weighted(lambda k: np.where(k > 0.5, np.nan, 1.0),
                                        [0.0], [2.0], (), 1.0, np.inf)[1][0])
         assert budget and missed
-        # k_1/dk = 2e4: the rs route over k in [0, k_2] needs too many panels
-        with pytest.raises(QuadratureError, match=r"over k in \[0, 2\.00006\] did not "
-                           r"converge: it needs more than the 65536 panels allowed"):
-            noise_gain(CosineTerminated(2.0, 5.0, 1e-4))
+        # k_1/dk = 2e4 once ran the rs quadrature out of panels over [0, k_2]
+        rep = noise_gain(CosineTerminated(2.0, 5.0, 1e-4))
+        assert rep.ds_value == pytest.approx(rep.rs_value, rel=1e-14)
+        assert rep.rs_value == pytest.approx(_ct_rs_oracle(2.0, 5.0, 1e-4), rel=1e-14)
         real_kernel = filters.kernel
         monkeypatch.setattr(filters, "kernel", lambda spec, x: np.where(
             np.asarray(x) > 5.0, np.nan, real_kernel(spec, x)))
-        with pytest.raises(QuadratureError, match="the error estimate missed the tolerance"):
+        with pytest.raises(QuadratureError, match=r"disagree: nan vs 1\.36050119132131\d$"):
             noise_gain(GaussHermite(20, 1.0))
+
+    @pytest.mark.parametrize("family, kw", [("ra", {}), ("bw", {}), ("gh", {"m": 20}),
+                                            ("ct", {"a": 5.0, "dk": 0.5}),
+                                            ("tukey", {"dk": 0.12}), ("hann", {}),
+                                            ("welch_approx", {})])
+    def test_runs_no_adaptive_quadrature(self, family, kw, monkeypatch):
+        """Every family's two routes are closed forms or fixed sums: none calls
+        the MSE's adaptive core."""
+        spec = calibrate(family, 1.0, **kw).spec
+        expected = noise_gain(spec)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("noise_gain ran the adaptive quadrature")
+
+        monkeypatch.setattr(_gauss, "exp_weighted", refuse)
+        monkeypatch.setattr(metrics, "exp_weighted", refuse)
+        assert noise_gain(spec) == expected
+
+    def test_filters_import_nothing_from_the_quadrature_core(self):
+        tree = ast.parse(pathlib.Path(filters.__file__).read_text())
+        imported = [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+        imported += [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                     for alias in node.names]
+        assert not [name for name in imported if name and "_gauss" in name]
+
+
+def _ct_rs_oracle(k_1: float, a: float, dk: float) -> float:
+    """(1/pi) integral_0^inf B^2 dk of a ct spec, its rolloff by a 40-digit quadrature.
+
+    On the rolloff B = 1 - a + a cos u with u = (k - k_1)/dk in [0, psi],
+    psi = arccos(1 - 1/a); the rolloff's integral is checked against a split
+    of itself in two.
+    """
+    with mp.workdps(40):
+        big_a = mp.mpf(a)
+        psi = mp.acos(1 - 1 / big_a)
+
+        def roll(edges):
+            return mp.quad(lambda u: (1 - big_a + big_a * mp.cos(u)) ** 2, edges,
+                           method="gauss-legendre")
+
+        whole, split = roll([0, psi]), roll([0, psi / 2, psi])
+        assert abs(whole - split) <= mp.mpf(10) ** -30 * abs(whole)
+        return float((mp.mpf(k_1) + mp.mpf(dk) * whole) / mp.pi)
+
+
+@functools.cache
+def _gh_rs_series(m: int) -> float:
+    """(1/pi) integral_0^inf Q(m+1, k^2)^2 dk, the GH noise at k_s = 1, as a positive series.
+
+    With u = k^2 and (sum_{n<=m} u^n/n!)^2 = sum_s (2^s/s!) P_s u^s, where P_s
+    is the share of Binomial(s, 1/2) in [s-m, m], the integral is
+    1/(2 pi sqrt 2) sum_{s<=2m} P_s Gamma(s+1/2)/s!.  Every term is positive.
+    Each P_s sums row s of Pascal's triangle, halved per row so that it holds
+    the binomial probabilities.
+    """
+    row = np.zeros(2 * m + 1)
+    row[0] = 1.0
+    ratio = math.sqrt(math.pi)  # Gamma(s + 1/2)/s! at s = 0
+    terms = []
+    for s in range(2 * m + 1):
+        if s:
+            row[1:s + 1] = 0.5 * (row[1:s + 1] + row[:s])
+            row[0] *= 0.5
+            ratio *= (s - 0.5) / s
+        terms.append(float(np.sum(row[max(0, s - m):min(s, m) + 1])) * ratio)
+    return math.fsum(terms) / (2.0 * math.pi * math.sqrt(2.0))
+
+
+class TestGhNoiseRoutes:
+    """GH's two trapezoid sums against the positive series, and the series
+    against a 40-digit quadrature of Q(m+1, u)^2."""
+
+    @pytest.mark.parametrize("m", [1, 2, 5, 20, 100, 259, 1000])
+    def test_routes_against_series(self, m):
+        for x_o in (1e-3, 1.0, 1e3):
+            spec = calibrate("gh", x_o, m=m).spec
+            expected = spec.k_s * _gh_rs_series(m)
+            rep = noise_gain(spec)
+            assert rep.rs_value == pytest.approx(expected, rel=1e-13, abs=0.0), (m, x_o)
+            assert rep.ds_value == pytest.approx(expected, rel=1e-13, abs=0.0), (m, x_o)
+
+    @pytest.mark.parametrize("m", [2, 20])
+    def test_series_against_quadrature(self, m):
+        """Q(m+1, u) = e^{-u} sum_{n<=m} u^n/n! squared, over k in [0, 16] on
+        equal panels; past 16 it is below 1e-70.  The oracle is checked
+        against a split twice as fine."""
+        with mp.workdps(40):
+            def q2(k):
+                u = k * k
+                return (mp.exp(-u) * mp.fsum(u ** n / mp.factorial(n) for n in range(m + 1))) ** 2
+
+            coarse, fine = (mp.quad(q2, mp.linspace(0, 16, n + 1), method="gauss-legendre")
+                            for n in (16, 32))
+            assert abs(coarse - fine) <= mp.mpf(10) ** -25 * fine
+            assert _gh_rs_series(m) == pytest.approx(float(fine / mp.pi), rel=1e-14, abs=0.0)
 
 
 # ds_value and rs_value of CosineTerminated(r, a, 1) for r = k_1/dk in
@@ -395,6 +500,16 @@ class TestCtNoiseRoutes:
                     got = filters._ct_ds(CosineTerminated(r, a, 1.0))
                     assert abs(got - total) <= tol * total, (a, r)
 
+    @pytest.mark.parametrize("a", [0.5, 1.0, 5.0, 20.0, 1e3, 1e6, 1e8])
+    def test_rs_against_oracle(self, a):
+        """The rolloff's closed form against 40 digits, at three scales."""
+        for dk in (1e3, 1.0, 1e-3):
+            for r in (0.0, 1.0, 30.0):
+                # past a ~ 1e3 the ds closed form cancels beyond the Parseval
+                # gate, so the rs route is read on its own
+                rs = CosineTerminated(r * dk, a, dk)._noise_integrals()[1]
+                assert rs == pytest.approx(_ct_rs_oracle(r * dk, a, dk), rel=1e-14, abs=0.0)
+
     def test_ds_reads_no_transfer_kernel_or_quadrature(self, monkeypatch):
         """ct's ds is a closed form over the kernel's terms alone; only
         test_ct_pole_terms_sum_to_the_kernel ties those terms to the kernel."""
@@ -405,7 +520,7 @@ class TestCtNoiseRoutes:
             raise AssertionError("ct ds evaluated a transfer, a kernel or a quadrature")
 
         for module, name in ((filters, "transfer"), (filters, "kernel"),
-                             (filters, "integral"), (_gauss, "integral")):
+                             (_gauss, "exp_weighted"), (metrics, "exp_weighted")):
             monkeypatch.setattr(module, name, refuse)
         assert filters._ct_ds(spec) == expected
 
